@@ -42,6 +42,7 @@ from .model import (
 from .trajectory import (
     DEFAULT_DWELL_S,
     SLIDE_SPEED_CAP,
+    STEER_SPEED_CAP,
     VERT_SPEED_CAP,
     SegmentQueryError,
     StepPlan,
@@ -112,7 +113,7 @@ class GaitConfig:
     )
     slide_speed_cap: float = SLIDE_SPEED_CAP
     vert_speed_cap: float = VERT_SPEED_CAP
-    steer_speed_cap: float = 0.6
+    steer_speed_cap: float = STEER_SPEED_CAP
     speed_scale: float = 1.0
     dwell_s: dict = field(default_factory=lambda: dict(DEFAULT_DWELL_S))
     adaptive: bool = True

@@ -36,18 +36,23 @@ from .model import (
     Ramp,
     RobotGeometry,
     Rope,
+    TrajectoryKind,
+    TrajectorySpec,
     ValidationError,
     WorldModel,
     standing_state,
     wrap_angle,
 )
 from .control import PidGains
-from .trajectory import preset
+from .trajectory import SLIDE_SPEED_CAP, STEER_SPEED_CAP, VERT_SPEED_CAP, make_trajectory, preset
 
 # contact must register before the end-of-travel switch can freeze a
 # descending leg 0.05 cm short of the ground
 CONTACT_EPS_CM = 0.1
 DEFAULT_FRICTION_MU = 0.42  # static grip of the rubber foot pads
+# version of the trace record layout, reported in every summary; traces
+# without it in their summary are version 1 (which carried sensors.lidar_beams)
+TRACE_SCHEMA = 2
 
 
 class ScenarioError(ValueError):
@@ -151,9 +156,9 @@ def check_stability(
 class ActuatorModel:
     """Rate-limited velocity actuators with an optional first-order response."""
 
-    slide_max_speed: float = 17.0
-    vert_max_speed: float = 10.0
-    steer_max_speed: float = 0.6
+    slide_max_speed: float = SLIDE_SPEED_CAP
+    vert_max_speed: float = VERT_SPEED_CAP
+    steer_max_speed: float = STEER_SPEED_CAP
     time_constant_s: float = 0.0
 
     def validate(self) -> None:
@@ -170,8 +175,6 @@ class SensorSetup:
         sensormod.UltrasonicMount(offset_x=16.5, offset_z=10.0, height=8.0),
         sensormod.UltrasonicMount(offset_x=16.5, offset_z=-10.0, height=8.0),
     )
-    lidar: sensormod.LidarConfig = field(default_factory=sensormod.LidarConfig)
-    lidar_enabled: bool = True
 
 
 @dataclass
@@ -375,29 +378,13 @@ def load_scenario(document: dict | str | Path) -> Scenario:
             setattr(gait, attr, type(getattr(gait, attr))(ctl_doc[key]))
 
     sen_doc = document.get("sensors", {})
-    _check_keys(sen_doc, {"imu_noise_deg", "lidar", "lidar_enabled", "ultrasonic_height_cm"}, "$.sensors")
+    _check_keys(sen_doc, {"imu_noise_deg", "ultrasonic_height_cm"}, "$.sensors")
     if "imu_noise_deg" in sen_doc:
         scenario.sensors.imu_noise_deg = float(sen_doc["imu_noise_deg"])
     if "ultrasonic_height_cm" in sen_doc:
         h = float(sen_doc["ultrasonic_height_cm"])
         scenario.sensors.ultrasonic_mounts = tuple(
             replace(m, height=h) for m in scenario.sensors.ultrasonic_mounts
-        )
-    if "lidar_enabled" in sen_doc:
-        scenario.sensors.lidar_enabled = bool(sen_doc["lidar_enabled"])
-    if "lidar" in sen_doc:
-        lid = sen_doc["lidar"]
-        _check_keys(
-            lid,
-            {"angular_resolution_deg", "sector_deg", "sweep_period_s", "max_range_cm", "mount_height_cm"},
-            "$.sensors.lidar",
-        )
-        scenario.sensors.lidar = sensormod.LidarConfig(
-            angular_resolution_deg=float(lid.get("angular_resolution_deg", 0.15)),
-            sector_deg=tuple(lid.get("sector_deg", (-90.0, 90.0))),
-            sweep_period_s=float(lid.get("sweep_period_s", 0.5)),
-            max_range_cm=float(lid.get("max_range_cm", 400.0)),
-            mount_height=float(lid.get("mount_height_cm", 35.0)),
         )
 
     act_doc = document.get("actuators", {})
@@ -406,11 +393,12 @@ def load_scenario(document: dict | str | Path) -> Scenario:
         {"slide_max_speed_cm_s", "vert_max_speed_cm_s", "steer_max_speed_rad_s", "time_constant_s"},
         "$.actuators",
     )
+    act = ActuatorModel()
     scenario.actuators = ActuatorModel(
-        slide_max_speed=float(act_doc.get("slide_max_speed_cm_s", 17.0)),
-        vert_max_speed=float(act_doc.get("vert_max_speed_cm_s", 10.0)),
-        steer_max_speed=float(act_doc.get("steer_max_speed_rad_s", 0.6)),
-        time_constant_s=float(act_doc.get("time_constant_s", 0.0)),
+        slide_max_speed=float(act_doc.get("slide_max_speed_cm_s", act.slide_max_speed)),
+        vert_max_speed=float(act_doc.get("vert_max_speed_cm_s", act.vert_max_speed)),
+        steer_max_speed=float(act_doc.get("steer_max_speed_rad_s", act.steer_max_speed)),
+        time_constant_s=float(act_doc.get("time_constant_s", act.time_constant_s)),
     )
     scenario.actuators.validate()
     gait.slide_speed_cap = scenario.actuators.slide_max_speed
@@ -436,6 +424,19 @@ def load_scenario(document: dict | str | Path) -> Scenario:
 # --- simulation engine -----------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class FootSnapshot:
+    """Foot geometry of one pose, joint state and pinned pair, legs A..D."""
+
+    xz: tuple[tuple[float, float], ...]  # world planar positions
+    y: tuple[float, ...]  # world heights
+    terrain: tuple[float, ...]  # terrain height under each foot
+    u: tuple[float, ...]  # offset along the heading from the body centre
+    height: float  # support plane over the pinned pair: body centre height ...
+    slope: float  # ... and pitch slope
+    contacts: tuple[bool, ...]
+
+
 class SimEngine:
     """Advances the world one fixed timestep at a time."""
 
@@ -454,72 +455,37 @@ class SimEngine:
         self.tick_index = 0
         self.trace: list[dict] = []
         self.halt: dict | None = None
-        self.anchor_world: np.ndarray | None = None
-        self.anchor_pair = PAIR_AC
         self._axis_velocity = {name: 0.0 for name in sensormod.AXIS_NAMES}
-        self._lidar_every = max(1, round(scenario.sensors.lidar.sweep_period_s / self.dt))
-        self._sweep_index = 0
-        self._pin_anchors(self.state.pinned_pair)
+        self.anchor_pair = self.state.pinned_pair
+        self.feet = self._snapshot()
+        self.anchor_world = np.array([self.feet.xz[leg] for leg in self.anchor_pair])
 
-    # -- terrain and feet ---------------------------------------------------------
+    def _snapshot(self) -> FootSnapshot:
+        """Foot geometry of the current pose, joints and pinned pair.
 
-    def _pin_anchors(self, pair: tuple[int, int]) -> None:
-        feet = world_feet(self.pose, self.joints, self.legs, self.geom)
-        self.anchor_pair = pair
-        self.anchor_world = feet.xz[list(pair)].copy()
-
-    def _support_plane(self) -> tuple[float, float]:
-        """(body centre height, pitch slope) over the pinned stance feet.
-
-        The body rides parallel to the local walkable slope under its stance
-        feet (flat over block steps, inclined on ramps); its height is the
-        least-squares fit of that line through the stance contacts, each at
-        terrain + k3 - d_vert.
+        The body rides parallel to the local walkable slope under its pinned
+        stance feet (flat over block steps, inclined on ramps); its height is
+        the least-squares fit of that line through the stance contacts, each
+        at terrain + k3 - d_vert.  Pinned feet sit exactly on the terrain; the
+        free feet hang from that plane by their extension.
         """
-        pair = self.anchor_pair
-        feet = world_feet(self.pose, self.joints, self.legs, self.geom)
-        fwd = self.pose.forward()
-        us, ps, grads = [], [], []
-        for leg in pair:
-            px, pz = feet.xz[leg]
-            u = (px - self.pose.x) * fwd[0] + (pz - self.pose.z) * fwd[1]
-            terrain = self.world.terrain_height(px, pz)
-            us.append(u)
-            ps.append(terrain + self.legs.k3 - self.joints.d_vert[leg])
-            grads.append(self.world.terrain_gradient_x(px, pz) * fwd[0])
-        slope = sum(grads) / len(grads)
-        height = sum(p - slope * u for p, u in zip(ps, us)) / len(ps)
-        return height, slope
-
-    def foot_world(self) -> tuple[np.ndarray, np.ndarray]:
-        """World planar positions and heights of all four feet.
-
-        Pinned stance feet sit exactly on the terrain; the free feet hang
-        from the body plane by their extension.
-        """
-        feet = world_feet(self.pose, self.joints, self.legs, self.geom)
-        height, slope = self._support_plane()
-        fwd = self.pose.forward()
-        ys = np.empty(4)
-        for leg in range(4):
-            px, pz = feet.xz[leg]
-            if leg in self.anchor_pair:
-                ys[leg] = self.world.terrain_height(px, pz)
-            else:
-                u = (px - self.pose.x) * fwd[0] + (pz - self.pose.z) * fwd[1]
-                ys[leg] = height + slope * u - self.legs.k3 + self.joints.d_vert[leg]
-        return feet.xz, ys
-
-    def _contacts(self, foot_xz: np.ndarray, foot_y: np.ndarray) -> tuple[bool, ...]:
-        flags = []
-        for leg in range(4):
-            terrain = self.world.terrain_height(foot_xz[leg][0], foot_xz[leg][1])
-            flags.append(foot_y[leg] <= terrain + CONTACT_EPS_CM)
-        return tuple(flags)
+        pose, d_vert, k3, pair = self.pose, self.joints.d_vert, self.legs.k3, self.anchor_pair
+        xz = tuple(map(tuple, world_feet(pose, self.joints, self.legs, self.geom).xz.tolist()))
+        fwd = pose.forward()
+        u = tuple((px - pose.x) * fwd[0] + (pz - pose.z) * fwd[1] for px, pz in xz)
+        terrain = tuple(self.world.terrain_height(px, pz) for px, pz in xz)
+        slope = sum(self.world.terrain_gradient_x(*xz[leg]) * fwd[0] for leg in pair) / len(pair)
+        height = sum(terrain[leg] + k3 - d_vert[leg] - slope * u[leg] for leg in pair) / len(pair)
+        y = tuple(
+            terrain[leg] if leg in pair else height + slope * u[leg] - k3 + d_vert[leg]
+            for leg in range(4)
+        )
+        contacts = tuple(y[leg] <= terrain[leg] + CONTACT_EPS_CM for leg in range(4))
+        return FootSnapshot(xz, y, terrain, u, height, slope, contacts)
 
     # -- perception -----------------------------------------------------------------
 
-    def _nearest_obstacle(self, foot_xz: np.ndarray) -> ObstacleSighting | None:
+    def _nearest_obstacle(self, foot_xz: tuple[tuple[float, float], ...]) -> ObstacleSighting | None:
         """Idealized classification of the nearest block or rope ahead.
 
         An obstacle stays sighted while the robot straddles it (any foot over
@@ -527,6 +493,8 @@ class SimEngine:
         climbing trajectory until the whole robot is past.
         """
         c, s = math.cos(self.pose.heading_phi), math.sin(self.pose.heading_phi)
+        mounts = self.sc.sensors.ultrasonic_mounts
+        reach = max(m.offset_x for m in mounts)  # ropes are ranged from the foremost mount
         best: tuple[float, str, float] | None = None
         for box in self.world.boxes():
             if box.height <= 1.0:
@@ -540,7 +508,7 @@ class SimEngine:
                 if best is None or 1.0 < best[0]:
                     best = (1.0, "block", box.height)
                 continue
-            for mount in self.sc.sensors.ultrasonic_mounts:
+            for mount in mounts:
                 ox = self.pose.x + c * mount.offset_x - s * mount.offset_z
                 oz = self.pose.z + s * mount.offset_x + c * mount.offset_z
                 t = sensormod._ray_box_distance(ox, oz, c, s, box)
@@ -550,34 +518,12 @@ class SimEngine:
             d_along = (rope.x - self.pose.x) * c + (rope.z - self.pose.z) * s
             if d_along < -45.0:
                 continue
-            rng = max(d_along - 16.5, 0.5)
+            rng = max(d_along - reach, 0.5)
             if best is None or rng < best[0]:
                 best = (rng, "rope", rope.height)
         if best is None:
             return None
         return ObstacleSighting(kind=best[1], height=best[2], range_cm=best[0])
-
-    def _sensor_frame(self, with_lidar: bool) -> sensormod.SensorFrame:
-        sc = self.sc
-        counts = sensormod.read_encoders(self.joints, self.geom)
-        yaw, pitch = sensormod.read_imu(self.pose, sc.sensors.imu_noise_deg, self.rng)
-        ranges = tuple(
-            sensormod.read_ultrasonic(self.pose, self.world, m) for m in sc.sensors.ultrasonic_mounts
-        )
-        low, high = sensormod.read_limit_switches(self.joints, self.geom)
-        lidar = None
-        if with_lidar and sc.sensors.lidar_enabled:
-            lidar = sensormod.lidar_scan(self.pose, self.world, sc.sensors.lidar, self._sweep_index)
-            self._sweep_index += 1
-        return sensormod.SensorFrame(
-            encoder_counts=counts,
-            imu_yaw=yaw,
-            imu_pitch=pitch,
-            ultrasonic_cm=ranges,
-            limit_low=low,
-            limit_high=high,
-            lidar=lidar,
-        )
 
     # -- stepping -------------------------------------------------------------------
 
@@ -609,29 +555,15 @@ class SimEngine:
             self.geom.steer_travel_max,
         )
 
-    def _resolve_pose(self) -> None:
+    def _resolve_pose(self) -> FootSnapshot:
         """Planar pose from the pinned stance feet, then pitch from terrain."""
         local = body_frame_feet(self.joints, self.legs, self.geom)
-        pose = rigid_pose_from_pins(
+        self.pose = rigid_pose_from_pins(
             self.anchor_world, local.xz[list(self.anchor_pair)], self.pose.pitch
         )
-        self.pose = pose
-        _, slope = self._support_plane()
-        self.pose.pitch = math.atan(slope)
-
-    def _snap_landing_feet(self, swing_pair) -> None:
-        """Pin a descending foot exactly onto the terrain it just reached."""
-        foot_xz, foot_y = self.foot_world()
-        height, slope = self._support_plane()
-        fwd = self.pose.forward()
-        for leg in swing_pair:
-            terrain = self.world.terrain_height(foot_xz[leg][0], foot_xz[leg][1])
-            if foot_y[leg] < terrain:
-                u = (foot_xz[leg][0] - self.pose.x) * fwd[0] + (foot_xz[leg][1] - self.pose.z) * fwd[1]
-                self.joints.d_vert[leg] = min(
-                    max(terrain - (height + slope * u) + self.legs.k3, 0.0),
-                    self.geom.vertical_travel_max,
-                )
+        feet = self._snapshot()
+        self.pose.pitch = math.atan(feet.slope)
+        return feet
 
     def _record_halt(self, reason: str) -> None:
         if self.halt is None:
@@ -641,40 +573,52 @@ class SimEngine:
 
     def step(self) -> dict:
         """Advance one tick: sense, decide, actuate, resolve, check, record."""
-        foot_xz, foot_y = self.foot_world()
-        with_lidar = self.tick_index % self._lidar_every == 0
-        frame = self._sensor_frame(with_lidar)
-        contacts = self._contacts(foot_xz, foot_y)
-        sighting = self._nearest_obstacle(foot_xz)
+        # the snapshot taken at the end of the previous tick still holds:
+        # nothing between two steps moves the pose, the joints or the pinned pair
+        feet = self.feet
+        sens = self.sc.sensors
+        yaw, pitch = sensormod.read_imu(self.pose, sens.imu_noise_deg, self.rng)
+        ultrasonic = [sensormod.read_ultrasonic(self.pose, self.world, m) for m in sens.ultrasonic_mounts]
+        limit_low, limit_high = sensormod.read_limit_switches(self.joints, self.geom)
+        sighting = self._nearest_obstacle(feet.xz)
         front_range = None
-        ranges = [r for r in frame.ultrasonic_cm if r is not None]
+        ranges = [r for r in ultrasonic if r is not None]
         if ranges:
             front_range = min(ranges)
         elif sighting is not None:
             front_range = sighting.range_cm
         summary = SensorSummary(
             front_range=front_range,
-            body_pitch=frame.imu_pitch,
-            yaw=frame.imu_yaw,
+            body_pitch=pitch,
+            yaw=yaw,
             obstacle=sighting,
-            foot_contact=contacts,
-            limit_low=frame.limit_low,
-            limit_high=frame.limit_high,
+            foot_contact=feet.contacts,
+            limit_low=limit_low,
+            limit_high=limit_high,
         )
 
         prev_pinned = self.state.pinned_pair
         cmd, self.state = self.executor.gait_tick(self.state, summary, self.joints, self.dt)
         if self.state.pinned_pair != prev_pinned:
-            self._pin_anchors(self.state.pinned_pair)
+            self.anchor_pair = self.state.pinned_pair
+            self.anchor_world = np.array([feet.xz[leg] for leg in self.anchor_pair])
 
         self._apply_actuators(cmd)
-        self._resolve_pose()
-        swing = [leg for leg in range(4) if leg not in self.state.pinned_pair]
-        self._snap_landing_feet(swing)
+        feet = self._resolve_pose()
+        # pin a descending swing foot exactly onto the terrain it just reached
+        snapped = False
+        for leg in range(4):
+            if leg not in self.state.pinned_pair and feet.y[leg] < feet.terrain[leg]:
+                self.joints.d_vert[leg] = min(
+                    max(feet.terrain[leg] - (feet.height + feet.slope * feet.u[leg]) + self.legs.k3, 0.0),
+                    self.geom.vertical_travel_max,
+                )
+                snapped = True
+        if snapped:
+            feet = self._snapshot()
+        self.feet = feet
 
-        foot_xz, foot_y = self.foot_world()
-        contacts = self._contacts(foot_xz, foot_y)
-        grounded = tuple(leg for leg in range(4) if contacts[leg])
+        grounded = tuple(leg for leg in range(4) if feet.contacts[leg])
         stance_for_margin = grounded if len(grounded) >= 2 else self.state.pinned_pair
         lower_heading = wrap_angle(self.pose.heading_phi - self.joints.steer_alpha)
         headings = (
@@ -684,7 +628,7 @@ class SimEngine:
             self.pose.heading_phi,
         )
         stable, margin = check_stability(
-            foot_xz,
+            feet.xz,
             stance_for_margin,
             (self.pose.x, self.pose.z),
             self.geom.foot_contact,
@@ -715,9 +659,7 @@ class SimEngine:
                 "vert": list(self.joints.d_vert),
                 "steer": self.joints.steer_alpha,
             },
-            "feet": [
-                [foot_xz[i][0], foot_y[i], foot_xz[i][1]] for i in range(4)
-            ],
+            "feet": [[x, y, z] for (x, z), y in zip(feet.xz, feet.y)],
             "stance": stance_label,
             "trajectory": self.state.active_spec.kind.value,
             "phase": self.state.phase.value,
@@ -728,13 +670,10 @@ class SimEngine:
             ],
             "margin": margin,
             "sensors": {
-                "yaw": frame.imu_yaw,
-                "pitch": frame.imu_pitch,
-                "ultrasonic": [
-                    None if r is None else r for r in frame.ultrasonic_cm
-                ],
-                "limits": sum(1 << i for i, f in enumerate(frame.limit_low + frame.limit_high) if f),
-                "lidar_beams": 0 if frame.lidar is None else len(frame.lidar),
+                "yaw": yaw,
+                "pitch": pitch,
+                "ultrasonic": ultrasonic,
+                "limits": sum(1 << i for i, f in enumerate(limit_low + limit_high) if f),
             },
             "events": events,
         }
@@ -868,13 +807,14 @@ def summarize(trace: list[dict]) -> dict:
     """Aggregate a trace: distance, speed, heading, events, stability."""
     if not trace:
         return {
+            "trace_schema": TRACE_SCHEMA,
             "ticks": 0,
             "duration_s": 0.0,
             "distance_cm": 0.0,
             "avg_speed_cm_s": 0.0,
             "final_heading_deg": 0.0,
             "stability_violations": 0,
-            "min_margin_cm": math.inf,
+            "min_margin_cm": None,
             "switch_events": [],
             "halts": [],
         }
@@ -895,6 +835,7 @@ def summarize(trace: list[dict]) -> dict:
             elif ev["type"] == "halt":
                 halts.append(ev)
     return {
+        "trace_schema": TRACE_SCHEMA,
         "ticks": len(trace),
         "duration_s": duration,
         "distance_cm": distance,
@@ -981,23 +922,20 @@ def trace2svg(trace: list[dict], path: str | Path) -> None:
         f'viewBox="0 0 {width:.2f} {height:.2f}">',
         f'<line x1="0" y1="{sy(0):.2f}" x2="{width:.2f}" y2="{sy(0):.2f}" stroke="#888" stroke-width="0.8"/>',
     ]
-    from .trajectory import make_trajectory as _mk
-    from .model import TrajectorySpec as _Spec, TrajectoryKind as _Kind
-
     for stride in strides:
         pts = stride["points"]
         if len(pts) < 2:
             continue
         x0, y0 = pts[0]
-        spec = _Spec(
-            kind=_Kind(stride["trajectory"]),
+        spec = TrajectorySpec(
+            kind=TrajectoryKind(stride["trajectory"]),
             stride_L=stride["span"],
-            stride_H=_reference_height(stride["trajectory"]),
+            stride_H=preset(stride["trajectory"]).stride_H,
             period_s=1.0,
             tilt=stride["tilt"],
         )
         try:
-            curve = _mk(spec)
+            curve = make_trajectory(spec)
             ref = [(x0 + px, y0 + py) for px, py in curve.swing_points]
             parts.append(poly(ref, "#c44", dash="3,3"))
         except ValidationError:
@@ -1010,6 +948,3 @@ def trace2svg(trace: list[dict], path: str | Path) -> None:
     except OSError as exc:
         raise OSError(f"cannot write SVG to {p}: {exc}") from exc
 
-
-def _reference_height(kind: str) -> float:
-    return 13.0 if kind == "rect1" else 5.0

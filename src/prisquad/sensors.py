@@ -68,19 +68,6 @@ class LidarConfig:
         return start + np.arange(n) * self.angular_resolution_deg
 
 
-@dataclass
-class SensorFrame:
-    """One synchronous snapshot of every sensor."""
-
-    encoder_counts: tuple[int, ...]
-    imu_yaw: float
-    imu_pitch: float
-    ultrasonic_cm: tuple[float | None, float | None]
-    limit_low: tuple[bool, ...]
-    limit_high: tuple[bool, ...]
-    lidar: list[tuple[float, float]] | None = None
-
-
 # --- encoders ---------------------------------------------------------------
 
 

@@ -23,9 +23,11 @@ from .model import RobotGeometry, TrajectoryKind, TrajectorySpec, ValidationErro
 
 # Actuator speed caps calibrated against the reference stride times: a slide
 # carriage tops out at 17 cm/s (so a swing foot covers ground at up to
-# 34 cm/s) and a lead-screw foot at 10 cm/s vertically.
+# 34 cm/s), a lead-screw foot at 10 cm/s vertically and the steering joint
+# at 0.6 rad/s.
 SLIDE_SPEED_CAP = 17.0
 VERT_SPEED_CAP = 10.0
+STEER_SPEED_CAP = 0.6
 
 # Reference rows: canonical (L, H) -> (min stride time s, average body speed cm/s)
 TIMING_TABLE: dict[TrajectoryKind, tuple[float, float, float, float]] = {

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prisquad import harness
 from prisquad.cli import bundled_scenario_path, main
 from prisquad.harness import (
     ScenarioError,
@@ -104,6 +105,8 @@ class TestLoadScenario:
             load_scenario(minimal_doc(controllers={"bogus": 1}))
         with pytest.raises(ScenarioError, match=re.escape("$")):
             load_scenario(minimal_doc(extra_section={}))
+        with pytest.raises(ScenarioError, match=re.escape("$.sensors")):
+            load_scenario(minimal_doc(sensors={"lidar_enabled": False}))
 
     def test_empty_mission_rejected(self):
         with pytest.raises(ScenarioError, match="mission"):
@@ -165,6 +168,19 @@ class TestTraceOutputs:
     def test_missing_trace_path_raises_with_context(self, tmp_path):
         with pytest.raises(OSError, match="nope"):
             load_trace(tmp_path / "nope.jsonl")
+
+    def test_foot_geometry_is_computed_about_once_per_tick(self, monkeypatch):
+        calls = 0
+        original = harness.world_feet
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "world_feet", counting)
+        trace, _ = run_simulation(load_scenario(bundled_scenario_path("block10")))
+        assert calls / len(trace) < 2.0
 
 
 class TestDeterminism:
@@ -228,6 +244,23 @@ class TestCli:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["final_heading_deg"] == pytest.approx(30.0, abs=1.0)
+
+    def test_zero_tick_steer_prints_strict_json(self, capsys):
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        assert main(["steer", "--angle", "0"]) == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert out["ticks"] == 0
+        assert out["min_margin_cm"] is None
+        assert out["trace_schema"] == 2
+
+    def test_removed_lidar_key_is_an_input_error(self, tmp_path, capsys):
+        doc = minimal_doc(sensors={"lidar": {"angular_resolution_deg": 0}})
+        path = tmp_path / "lidar.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_trace2svg_subcommand(self, tmp_path, capsys):
         trace_path = tmp_path / "t.jsonl"
