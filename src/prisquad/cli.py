@@ -21,7 +21,7 @@ from .harness import (
     run_simulation,
     trace2svg,
 )
-from .model import TrajectoryKind
+from .model import TrajectoryKind, ValidationError
 from .trajectory import preset, stride_timing
 
 
@@ -31,17 +31,16 @@ def bundled_scenario_path(name: str) -> Path:
     return Path(str(ref))
 
 
+def _given(**options) -> dict:
+    """The options the user gave (those not None)."""
+    return {key: value for key, value in options.items() if value is not None}
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        doc = json.loads(Path(args.scenario).read_text())
-        if args.seed is not None:
-            doc["seed"] = args.seed
-        if args.dt is not None:
-            doc["dt"] = args.dt
-        scenario = load_scenario(doc)
-    except (OSError, json.JSONDecodeError, ScenarioError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    doc = json.loads(Path(args.scenario).read_text())
+    if isinstance(doc, dict):  # load_scenario rejects anything else at "$"
+        doc.update(_given(seed=args.seed, dt=args.dt))
+    scenario = load_scenario(doc)
     trace, summary = run_simulation(scenario)
     if args.trace:
         emit_trace(trace, args.trace)
@@ -74,20 +73,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         TrajectoryKind.CIRCULAR,
         TrajectoryKind.TRIANGULAR,
     ):
-        spec = preset(kind, stride_L=args.L, stride_H=args.H)
-        timing = stride_timing(spec)
         walk = {
             "type": "walk",
             "distance_cm": args.distance,
             "trajectory": kind.value,
             "adaptive": False,
+            **_given(stride_L_cm=args.L, stride_H_cm=args.H),
         }
-        if args.L is not None:
-            walk["stride_L_cm"] = args.L
-        if args.H is not None:
-            walk["stride_H_cm"] = args.H
         doc = {"schema_version": 1, "mission": [walk]}
-        scenario = load_scenario(doc)
+        scenario = load_scenario(doc)  # checks the overrides before anything uses them
+        timing = stride_timing(preset(kind, stride_L=args.L, stride_H=args.H))
         _trace, summary = run_simulation(scenario)
         rows.append((kind.value, timing.stride_time_s, summary["avg_speed_cm_s"]))
     lines = ["kind,stride_time_s,speed_cm_s"]
@@ -102,12 +97,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace2svg(args: argparse.Namespace) -> int:
-    try:
-        trace = load_trace(args.infile)
-        trace2svg(trace, args.out)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    trace2svg(load_trace(args.infile), args.out)
     return 0
 
 
@@ -146,9 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # the one error boundary: bad input and unreadable or unwritable files
+    # exit 1 with an "error:" line instead of a traceback
     try:
         return args.func(args)
-    except ScenarioError as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ScenarioError,
+            ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -43,7 +44,6 @@ from .model import (
     standing_state,
     wrap_angle,
 )
-from .control import PidGains
 from .trajectory import SLIDE_SPEED_CAP, STEER_SPEED_CAP, VERT_SPEED_CAP, make_trajectory, preset
 
 # contact must register before the end-of-travel switch can freeze a
@@ -161,12 +161,6 @@ class ActuatorModel:
     steer_max_speed: float = STEER_SPEED_CAP
     time_constant_s: float = 0.0
 
-    def validate(self) -> None:
-        if min(self.slide_max_speed, self.vert_max_speed, self.steer_max_speed) <= 0:
-            raise ScenarioError("actuator speed caps must be > 0")
-        if self.time_constant_s < 0:
-            raise ScenarioError("actuator time constant must be >= 0")
-
 
 @dataclass
 class SensorSetup:
@@ -194,231 +188,226 @@ class Scenario:
     summary_path: str | None = None
 
 
-_GAIN_KEYS = {"kp", "ki", "kd", "output_limit", "integral_limit"}
+# The scenario format is one table, SCENARIO_SCHEMA, of the nodes below.  Each
+# node's ``default`` is REQUIRED, OPTIONAL (an absent key keeps the default of
+# the dataclass it fills) or a value the checked document gets in its place.
+REQUIRED, OPTIONAL = object(), object()
 
 
-def _check_keys(section: dict, allowed: set[str], path: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ScenarioError(f"unknown key(s) {sorted(unknown)} at {path}")
+@dataclass(frozen=True)
+class Num:
+    """A finite number (an integer when ``integer``) in an interval like ``(0, 0.1]``."""
+
+    interval: str = "(-inf, inf)"
+    default: object = OPTIONAL
+    integer: bool = False
 
 
-def _gains_from(doc: dict, path: str, base: PidGains) -> PidGains:
-    _check_keys(doc, _GAIN_KEYS, path)
-    merged = {
-        "kp": base.kp,
-        "ki": base.ki,
-        "kd": base.kd,
-        "output_limit": base.output_limit,
-        "integral_limit": base.integral_limit,
-    }
-    merged.update(doc)
-    return PidGains(**merged)
+@dataclass(frozen=True)
+class Scalar:
+    """A value of ``kind`` (``bool`` or ``str``), one of ``choices`` when given."""
+
+    kind: type
+    choices: tuple = ()
+    default: object = OPTIONAL
 
 
-def _parse_world(doc: dict, path: str) -> WorldModel:
-    _check_keys(doc, {"obstacles"}, path)
-    world = WorldModel()
-    for i, obs in enumerate(doc.get("obstacles", [])):
-        opath = f"{path}.obstacles[{i}]"
-        kind = obs.get("type")
-        if kind == "box":
-            _check_keys(obs, {"type", "x_cm", "z_cm", "width_cm", "depth_cm", "height_cm"}, opath)
-            world.obstacles.append(
-                Box(obs["x_cm"], obs.get("z_cm", 0.0), obs["width_cm"], obs["depth_cm"], obs["height_cm"])
+@dataclass(frozen=True)
+class ListOf:
+    item: object
+    length: str = "[0, inf)"
+    default: object = OPTIONAL
+
+
+@dataclass(frozen=True)
+class Obj:
+    """An object with the keys in ``fields``.  When ``tagged``, ``fields`` maps each
+    value of the object's ``type`` key to the keys of that variant."""
+
+    fields: dict
+    default: object = OPTIONAL
+    tagged: bool = False
+
+
+_GAINS = Obj({
+    "kp": Num("[0, inf)"), "ki": Num("[0, inf)"), "kd": Num("[0, inf)"),
+    "output_limit": Num("(0, inf)"), "integral_limit": Num("(0, inf)"),
+})
+
+SCENARIO_SCHEMA = Obj({
+    "schema_version": Num("[1, 1]", REQUIRED, integer=True),
+    "geometry": Obj({
+        "pulley_radius_cm": Num("(0, inf)"),
+        "foot_contact_cm": ListOf(Num("(0, inf)"), "[2, 2]"),
+        "dh_k1_cm": Num("(0, inf)"), "dh_k2_cm": Num("(0, inf)"), "dh_k3_cm": Num("(0, inf)"),
+    }),
+    "world": Obj({"obstacles": ListOf(Obj(tagged=True, fields={
+        "box": {
+            "x_cm": Num(default=REQUIRED), "z_cm": Num(default=0.0),
+            "width_cm": Num("(0, inf)", REQUIRED), "depth_cm": Num("(0, inf)", REQUIRED),
+            "height_cm": Num("[0, inf)", REQUIRED),
+        },
+        "rope": {
+            "x_cm": Num(default=REQUIRED), "z_cm": Num(default=0.0),
+            "span_cm": Num("(0, inf)", REQUIRED), "height_cm": Num("[0, inf)", REQUIRED),
+        },
+        "ramp": {
+            "x_start_cm": Num(default=REQUIRED), "incline_deg": Num("[0, 90)", REQUIRED),
+            "length_cm": Num("(0, inf)", REQUIRED),
+        },
+    }))}),
+    "controllers": Obj({  # every key names a GaitConfig field
+        "lookahead_cm": Num("(0, inf)"),
+        "pd_position": _GAINS, "pid_velocity": _GAINS, "yaw_pi": _GAINS,
+        "speed_scale": Num("(0, inf)"),
+        "trigger_range_cm": Num("[0, inf)"),
+        "tilt_threshold_deg": Num("[0, 90)"),
+        "switch_hysteresis_ticks": Num("[0, inf)", integer=True),
+    }),
+    "sensors": Obj({"imu_noise_deg": Num("[0, inf)"), "ultrasonic_height_cm": Num("[0, inf)")}),
+    "actuators": Obj({
+        "slide_max_speed_cm_s": Num("(0, inf)"), "vert_max_speed_cm_s": Num("(0, inf)"),
+        "steer_max_speed_rad_s": Num("(0, inf)"), "time_constant_s": Num("[0, inf)"),
+    }),
+    "mission": ListOf(Obj(tagged=True, fields={
+        "walk": {
+            "distance_cm": Num("(0, inf)", REQUIRED),
+            "trajectory": Scalar(str, tuple(kind.value for kind in TrajectoryKind), "triangular"),
+            "adaptive": Scalar(bool, default=True),
+            # load_scenario checks the stride overrides against the geometry
+            "stride_L_cm": Num("(0, inf)", None), "stride_H_cm": Num("(0, inf)", None),
+        },
+        "turn": {"angle_deg": Num(default=REQUIRED)},
+        "auto_navigate": {
+            "goal_xz_cm": ListOf(Num(), "[2, 2]", REQUIRED), "tolerance_cm": Num("(0, inf)", 5.0),
+        },
+    }), "[1, inf)", REQUIRED),
+    "dt": Num("(0, 0.1]"),
+    "seed": Num("[0, inf)", integer=True),
+    "friction_mu": Num("[0, inf)"),
+    "output": Obj({"trace_jsonl": Scalar(str), "summary_json": Scalar(str)}),
+})
+
+
+def _within(value: float, interval: str) -> bool:
+    """Whether ``value`` lies in an interval written like ``(0, 0.1]``."""
+    lo, hi = (float(bound) for bound in interval[1:-1].split(","))
+    above = lo < value if interval[0] == "(" else lo <= value
+    return above and (value < hi if interval[-1] == ")" else value <= hi)
+
+
+def _expected(path: str, expected, value) -> ScenarioError:
+    return ScenarioError(f"{path}: expected {expected}, got {reprlib.repr(value)}")
+
+
+def _walk(node, value, path: str):
+    """Check ``value`` against a schema node; return it with defaults filled in."""
+    if isinstance(node, Num):
+        try:  # NaN fails every interval; an int beyond the float range overflows
+            ok = (
+                isinstance(value, int if node.integer else (int, float))
+                and not isinstance(value, bool)
+                and _within(value if node.integer else float(value), node.interval)
             )
-        elif kind == "rope":
-            _check_keys(obs, {"type", "x_cm", "z_cm", "span_cm", "height_cm"}, opath)
-            world.obstacles.append(
-                Rope(obs["x_cm"], obs.get("z_cm", 0.0), obs["span_cm"], obs["height_cm"])
-            )
-        elif kind == "ramp":
-            _check_keys(obs, {"type", "x_start_cm", "incline_deg", "length_cm"}, opath)
-            world.obstacles.append(Ramp(obs["x_start_cm"], obs["incline_deg"], obs["length_cm"]))
-        else:
-            raise ScenarioError(f"unknown obstacle type {kind!r} at {opath}")
-    world.validate()
-    return world
+        except OverflowError:
+            ok = False
+        if not ok:
+            kind = "an integer" if node.integer else "a finite number"
+            raise _expected(path, f"{kind} in {node.interval}", value)
+        return value if node.integer else float(value)
+    if isinstance(node, Scalar):
+        if not isinstance(value, node.kind) or (node.choices and value not in node.choices):
+            expected = f"one of {list(node.choices)}" if node.choices else node.kind.__name__
+            raise _expected(path, expected, value)
+        return value
+    if isinstance(node, ListOf):
+        if not isinstance(value, list) or not _within(len(value), node.length):
+            raise _expected(path, f"a list of length {node.length}", value)
+        return [_walk(node.item, item, f"{path}[{i}]") for i, item in enumerate(value)]
+    if not isinstance(value, dict):
+        raise _expected(path, "an object", value)
+    fields = node.fields
+    if node.tagged:
+        tag = value.get("type")
+        if not isinstance(tag, str) or tag not in fields:  # str first: a tag may be unhashable
+            raise _expected(f"{path}.type", f"one of {list(fields)}", tag)
+        fields = {"type": Scalar(str), **fields[tag]}
+    for key in value:
+        if key not in fields:
+            raise ScenarioError(f"{path}.{key}: unknown key")
+    checked = {}
+    for key, sub in fields.items():
+        if key in value:
+            checked[key] = _walk(sub, value[key], f"{path}.{key}")
+        elif sub.default is REQUIRED:
+            raise ScenarioError(f"{path}.{key}: required key is missing")
+        elif sub.default is not OPTIONAL:
+            checked[key] = sub.default
+    return checked
 
 
-def _parse_mission(items: list, path: str) -> list[dict]:
-    if not items:
-        raise ScenarioError(f"mission must not be empty at {path}")
-    mission = []
-    for i, item in enumerate(items):
-        ipath = f"{path}[{i}]"
-        kind = item.get("type")
-        if kind == "walk":
-            _check_keys(
-                item,
-                {"type", "distance_cm", "trajectory", "adaptive", "stride_L_cm", "stride_H_cm"},
-                ipath,
-            )
-            if item["distance_cm"] <= 0:
-                raise ScenarioError(f"walk distance must be > 0 at {ipath}")
-            mission.append(
-                {
-                    "type": "walk",
-                    "distance_cm": float(item["distance_cm"]),
-                    "trajectory": item.get("trajectory", "triangular"),
-                    "adaptive": bool(item.get("adaptive", True)),
-                    "stride_L_cm": item.get("stride_L_cm"),
-                    "stride_H_cm": item.get("stride_H_cm"),
-                }
-            )
-        elif kind == "turn":
-            _check_keys(item, {"type", "angle_deg"}, ipath)
-            mission.append({"type": "turn", "angle_deg": float(item["angle_deg"])})
-        elif kind == "auto_navigate":
-            _check_keys(item, {"type", "goal_xz_cm", "tolerance_cm"}, ipath)
-            goal = item["goal_xz_cm"]
-            mission.append(
-                {
-                    "type": "auto_navigate",
-                    "goal_xz_cm": [float(goal[0]), float(goal[1])],
-                    "tolerance_cm": float(item.get("tolerance_cm", 5.0)),
-                }
-            )
-        else:
-            raise ScenarioError(f"unknown mission command {kind!r} at {ipath}")
-    return mission
+def _present(section: dict, **keys: str) -> dict:
+    """``{attr: section[key]}`` for each ``attr=key`` whose key is in ``section``."""
+    return {attr: section[key] for attr, key in keys.items() if key in section}
+
+
+_OBSTACLE_TYPES = {"box": Box, "rope": Rope, "ramp": Ramp}
 
 
 def load_scenario(document: dict | str | Path) -> Scenario:
-    """Validate a scenario document (dict, JSON text or file path).
+    """Check a scenario document (a dict, or the path of a JSON file) against
+    ``SCENARIO_SCHEMA`` and build it.
 
-    Unknown keys are rejected with their JSON path so that experiment files
-    stay reproducible across versions.
+    Every violation, unknown keys included, raises ``ScenarioError`` naming its
+    JSON path, so that experiment files stay reproducible across versions.
     """
     if isinstance(document, (str, Path)):
-        p = Path(document)
-        if p.exists():
-            document = json.loads(p.read_text())
-        else:
-            document = json.loads(str(document))
-    if not isinstance(document, dict):
-        raise ScenarioError("scenario document must be a JSON object")
-
-    _check_keys(
-        document,
-        {
-            "schema_version",
-            "geometry",
-            "world",
-            "controllers",
-            "sensors",
-            "actuators",
-            "mission",
-            "dt",
-            "seed",
-            "friction_mu",
-            "output",
-        },
-        "$",
+        document = json.loads(Path(document).read_text())
+    doc = _walk(SCENARIO_SCHEMA, document, "$")
+    geo, ctl, sen, act, out = (
+        doc.get(key, {}) for key in ("geometry", "controllers", "sensors", "actuators", "output")
     )
-    if document.get("schema_version") != 1:
-        raise ScenarioError("schema_version must be 1")
-
-    scenario = Scenario()
-
-    geo_doc = document.get("geometry", {})
-    _check_keys(
-        geo_doc,
-        {"pulley_radius_cm", "foot_contact_cm", "dh_k1_cm", "dh_k2_cm", "dh_k3_cm"},
-        "$.geometry",
+    geometry = replace(RobotGeometry(), **_present(geo, pulley_radius="pulley_radius_cm"))
+    if "foot_contact_cm" in geo:
+        geometry = replace(geometry, foot_contact=tuple(geo["foot_contact_cm"]))
+    try:
+        leg_params = DhLegParams(**_present(geo, k1="dh_k1_cm", k2="dh_k2_cm", k3="dh_k3_cm"))
+    except ValidationError as exc:
+        raise ScenarioError(f"$.geometry: {exc}") from None
+    world = WorldModel([
+        _OBSTACLE_TYPES[obs.pop("type")](**{key.removesuffix("_cm"): v for key, v in obs.items()})
+        for obs in doc.get("world", {}).get("obstacles", [])
+    ])
+    actuators = ActuatorModel(**_present(
+        act, slide_max_speed="slide_max_speed_cm_s", vert_max_speed="vert_max_speed_cm_s",
+        steer_max_speed="steer_max_speed_rad_s", time_constant_s="time_constant_s",
+    ))
+    gait = GaitConfig(
+        slide_speed_cap=actuators.slide_max_speed,
+        vert_speed_cap=actuators.vert_max_speed,
+        steer_speed_cap=actuators.steer_max_speed,
     )
-    if "pulley_radius_cm" in geo_doc:
-        scenario.geometry = replace(scenario.geometry, pulley_radius=float(geo_doc["pulley_radius_cm"]))
-    if "foot_contact_cm" in geo_doc:
-        fc = geo_doc["foot_contact_cm"]
-        scenario.geometry = replace(scenario.geometry, foot_contact=(float(fc[0]), float(fc[1])))
-    scenario.geometry.validate()
-    scenario.leg_params = DhLegParams(
-        k1=float(geo_doc.get("dh_k1_cm", scenario.leg_params.k1)),
-        k2=float(geo_doc.get("dh_k2_cm", scenario.leg_params.k2)),
-        k3=float(geo_doc.get("dh_k3_cm", scenario.leg_params.k3)),
-    )
-
-    if "world" in document:
-        scenario.world = _parse_world(document["world"], "$.world")
-
-    ctl_doc = document.get("controllers", {})
-    _check_keys(
-        ctl_doc,
-        {
-            "lookahead_cm",
-            "pd_position",
-            "pid_velocity",
-            "yaw_pi",
-            "speed_scale",
-            "trigger_range_cm",
-            "tilt_threshold_deg",
-            "switch_hysteresis_ticks",
-        },
-        "$.controllers",
-    )
-    gait = scenario.gait
-    if "lookahead_cm" in ctl_doc:
-        gait.lookahead_cm = float(ctl_doc["lookahead_cm"])
-        if gait.lookahead_cm <= 0:
-            raise ScenarioError("lookahead_cm must be > 0 at $.controllers")
-    if "pd_position" in ctl_doc:
-        gait.pd_position = _gains_from(ctl_doc["pd_position"], "$.controllers.pd_position", gait.pd_position)
-    if "pid_velocity" in ctl_doc:
-        gait.pid_velocity = _gains_from(ctl_doc["pid_velocity"], "$.controllers.pid_velocity", gait.pid_velocity)
-    if "yaw_pi" in ctl_doc:
-        gait.yaw_pi = _gains_from(ctl_doc["yaw_pi"], "$.controllers.yaw_pi", gait.yaw_pi)
-    for key, attr in (
-        ("speed_scale", "speed_scale"),
-        ("trigger_range_cm", "trigger_range_cm"),
-        ("tilt_threshold_deg", "tilt_threshold_deg"),
-        ("switch_hysteresis_ticks", "switch_hysteresis_ticks"),
-    ):
-        if key in ctl_doc:
-            setattr(gait, attr, type(getattr(gait, attr))(ctl_doc[key]))
-
-    sen_doc = document.get("sensors", {})
-    _check_keys(sen_doc, {"imu_noise_deg", "ultrasonic_height_cm"}, "$.sensors")
-    if "imu_noise_deg" in sen_doc:
-        scenario.sensors.imu_noise_deg = float(sen_doc["imu_noise_deg"])
-    if "ultrasonic_height_cm" in sen_doc:
-        h = float(sen_doc["ultrasonic_height_cm"])
-        scenario.sensors.ultrasonic_mounts = tuple(
-            replace(m, height=h) for m in scenario.sensors.ultrasonic_mounts
+    for key, value in ctl.items():
+        if isinstance(value, dict):  # a gain section overrides single gains
+            value = replace(getattr(gait, key), **value)
+        setattr(gait, key, value)
+    sensors = SensorSetup(**_present(sen, imu_noise_deg="imu_noise_deg"))
+    if "ultrasonic_height_cm" in sen:
+        sensors.ultrasonic_mounts = tuple(
+            replace(m, height=sen["ultrasonic_height_cm"]) for m in sensors.ultrasonic_mounts
         )
-
-    act_doc = document.get("actuators", {})
-    _check_keys(
-        act_doc,
-        {"slide_max_speed_cm_s", "vert_max_speed_cm_s", "steer_max_speed_rad_s", "time_constant_s"},
-        "$.actuators",
+    for i, cmd in enumerate(doc["mission"]):
+        if cmd["type"] == "walk":
+            try:
+                preset(cmd["trajectory"], cmd["stride_L_cm"], cmd["stride_H_cm"]).validate(geometry)
+            except ValidationError as exc:
+                raise ScenarioError(f"$.mission[{i}]: {exc}") from None
+    return Scenario(
+        geometry=geometry, leg_params=leg_params, world=world, gait=gait,
+        sensors=sensors, actuators=actuators, mission=doc["mission"],
+        **_present(doc, dt="dt", seed="seed", friction_mu="friction_mu"),
+        trace_path=out.get("trace_jsonl"), summary_path=out.get("summary_json"),
     )
-    act = ActuatorModel()
-    scenario.actuators = ActuatorModel(
-        slide_max_speed=float(act_doc.get("slide_max_speed_cm_s", act.slide_max_speed)),
-        vert_max_speed=float(act_doc.get("vert_max_speed_cm_s", act.vert_max_speed)),
-        steer_max_speed=float(act_doc.get("steer_max_speed_rad_s", act.steer_max_speed)),
-        time_constant_s=float(act_doc.get("time_constant_s", act.time_constant_s)),
-    )
-    scenario.actuators.validate()
-    gait.slide_speed_cap = scenario.actuators.slide_max_speed
-    gait.vert_speed_cap = scenario.actuators.vert_max_speed
-    gait.steer_speed_cap = scenario.actuators.steer_max_speed
-
-    if "mission" not in document:
-        raise ScenarioError("scenario requires a mission at $.mission")
-    scenario.mission = _parse_mission(document["mission"], "$.mission")
-
-    scenario.dt = float(document.get("dt", 0.01))
-    if not 0.0 < scenario.dt <= 0.1:
-        raise ScenarioError("dt must be in (0, 0.1] at $.dt")
-    scenario.seed = int(document.get("seed", 0))
-    scenario.friction_mu = float(document.get("friction_mu", DEFAULT_FRICTION_MU))
-    out_doc = document.get("output", {})
-    _check_keys(out_doc, {"trace_jsonl", "summary_json"}, "$.output")
-    scenario.trace_path = out_doc.get("trace_jsonl")
-    scenario.summary_path = out_doc.get("summary_json")
-    return scenario
 
 
 # --- simulation engine -----------------------------------------------------------
@@ -451,8 +440,7 @@ class SimEngine:
         self.joints = standing_state(self.geom)
         self.pose = BodyPose()
         self.state = self.executor.new_state()
-        self.t = 0.0
-        self.tick_index = 0
+        self.tick_index = 0  # simulated time is tick_index * dt
         self.trace: list[dict] = []
         self.halt: dict | None = None
         self._axis_velocity = {name: 0.0 for name in sensormod.AXIS_NAMES}
@@ -567,7 +555,7 @@ class SimEngine:
 
     def _record_halt(self, reason: str) -> None:
         if self.halt is None:
-            self.halt = {"t": self.t, "reason": reason}
+            self.halt = {"t": self.tick_index * self.dt, "reason": reason}
             self.state.phase = GaitPhase.HALT
             self.state.halt_reason = reason
 
@@ -639,16 +627,17 @@ class SimEngine:
         if abs(math.tan(self.pose.pitch)) > self.sc.friction_mu:
             self._record_halt("slip")
 
+        t = round(self.tick_index * self.dt, 9)
         events = list(self.state.events)
         self.state.events.clear()
         for ev in events:
-            ev["t"] = round(self.t, 9)
+            ev["t"] = t
 
         stance_label = "ALL" if len(grounded) == 4 else (
             "AC" if set(grounded) == set(PAIR_AC) else "BD" if set(grounded) == set(PAIR_BD) else "PARTIAL"
         )
         record = {
-            "t": round(self.t, 9),
+            "t": t,
             "x": self.pose.x,
             "z": self.pose.z,
             "heading": self.pose.heading_phi,
@@ -678,7 +667,6 @@ class SimEngine:
             "events": events,
         }
         self.trace.append(record)
-        self.t += self.dt
         self.tick_index += 1
         return record
 

@@ -1,6 +1,7 @@
 """Simulation harness: stability margins, scenario schema, traces, summaries
 and the CLI surface."""
 
+import copy
 import json
 import math
 import re
@@ -35,6 +36,78 @@ def minimal_doc(**overrides):
                      "adaptive": False}],
     }
     doc.update(overrides)
+    return doc
+
+
+def walk(**fields):
+    return {"type": "walk", "distance_cm": 34.0, **fields}
+
+
+# every key the scenario format accepts, each set to a valid value
+FULL_DOC = {
+    "schema_version": 1,
+    "geometry": {"pulley_radius_cm": 1.6, "foot_contact_cm": [18.0, 9.0],
+                 "dh_k1_cm": 16.5, "dh_k2_cm": 28.0, "dh_k3_cm": 23.0},
+    "world": {"obstacles": [
+        {"type": "box", "x_cm": 90.0, "z_cm": 0.0, "width_cm": 120.0, "depth_cm": 30.0,
+         "height_cm": 10.0},
+        {"type": "rope", "x_cm": 55.0, "z_cm": 1.0, "span_cm": 150.0, "height_cm": 12.0},
+        {"type": "ramp", "x_start_cm": 60.0, "incline_deg": 20.0, "length_cm": 300.0},
+    ]},
+    "controllers": {
+        "lookahead_cm": 4.0,
+        "pd_position": {"kp": 5.0, "ki": 0.1, "kd": 0.2, "output_limit": 20.0,
+                        "integral_limit": 2.0},
+        "pid_velocity": {"kp": 0.5}, "yaw_pi": {"ki": 0.3}, "speed_scale": 0.9,
+        "trigger_range_cm": 20.0, "tilt_threshold_deg": 4.0, "switch_hysteresis_ticks": 3,
+    },
+    "sensors": {"imu_noise_deg": 0.1, "ultrasonic_height_cm": 7.0},
+    "actuators": {"slide_max_speed_cm_s": 15.0, "vert_max_speed_cm_s": 9.0,
+                  "steer_max_speed_rad_s": 0.5, "time_constant_s": 0.02},
+    "mission": [
+        walk(trajectory="rect2", adaptive=True, stride_L_cm=30.0, stride_H_cm=4.0),
+        {"type": "turn", "angle_deg": 45.0},
+        {"type": "auto_navigate", "goal_xz_cm": [60.0, 60.0], "tolerance_cm": 6.0},
+    ],
+    "dt": 0.02, "seed": 7, "friction_mu": 0.5,
+    "output": {"trace_jsonl": "t.jsonl", "summary_json": "s.json"},
+}
+
+BUNDLED_DOCS = [
+    json.loads(path.read_text())
+    for path in sorted(bundled_scenario_path("flat").parent.glob("*.json"))
+]
+
+MUTANT_VALUES = [None, True, "10", "", [], {}, [1.0, 2.0], {"type": "box"}, math.nan,
+                 math.inf, -math.inf, -1.0, 0, 0.5, 1e9, 10**400]
+
+
+def json_paths(node, prefix=()):
+    """Every key path and list index path below ``node``."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from json_paths(child, prefix + (key,))
+
+
+@st.composite
+def single_field_mutants(draw):
+    """A bundled (or the full) scenario with one field dropped, added or replaced."""
+    doc = copy.deepcopy(draw(st.sampled_from(BUNDLED_DOCS + [FULL_DOC])))
+    *parents, last = draw(st.sampled_from(list(json_paths(doc))))
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    action = draw(st.sampled_from(["drop", "add", "replace"]))
+    if action == "drop" and isinstance(holder, dict):
+        del holder[last]
+    elif action == "add" and isinstance(holder, dict):
+        holder["bogus"] = 1.0
+    else:
+        holder[last] = copy.deepcopy(draw(st.sampled_from(MUTANT_VALUES)))
     return doc
 
 
@@ -132,6 +205,50 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="distance"):
             load_scenario(minimal_doc(mission=[{"type": "walk", "distance_cm": -1.0}]))
 
+    def test_every_key_loads(self):
+        sc = load_scenario(FULL_DOC)
+        assert sc.geometry.foot_contact == (18.0, 9.0)
+        assert sc.leg_params.k3 == 23.0
+        assert [type(o).__name__ for o in sc.world.obstacles] == ["Box", "Rope", "Ramp"]
+        assert sc.gait.pd_position.integral_limit == 2.0
+        assert sc.gait.pid_velocity.ki == 3.0  # a gain section keeps the gains it omits
+        assert sc.gait.switch_hysteresis_ticks == 3
+        assert sc.gait.slide_speed_cap == sc.actuators.slide_max_speed == 15.0
+        assert {m.height for m in sc.sensors.ultrasonic_mounts} == {7.0}
+        assert sc.mission[0] == {"type": "walk", "distance_cm": 34.0, "trajectory": "rect2",
+                                 "adaptive": True, "stride_L_cm": 30.0, "stride_H_cm": 4.0}
+        assert (sc.dt, sc.seed, sc.friction_mu, sc.summary_path) == (0.02, 7, 0.5, "s.json")
+
+    def test_a_string_is_always_a_file_path(self):
+        with pytest.raises(OSError):
+            load_scenario(json.dumps(minimal_doc()))
+
+    @pytest.mark.parametrize("overrides, path", [
+        ({"world": {"obstacles": [{"type": "box", "x_cm": 90.0, "depth_cm": 30.0,
+                                   "height_cm": 10.0}]}}, "$.world.obstacles[0].width_cm"),
+        ({"mission": [walk(distance_cm="10")]}, "$.mission[0].distance_cm"),
+        ({"mission": [walk(distance_cm=math.nan)]}, "$.mission[0].distance_cm"),
+        ({"mission": [walk(distance_cm=math.inf)]}, "$.mission[0].distance_cm"),
+        ({"mission": {"type": "turn", "angle_deg": 45.0}}, "$.mission"),
+        ({"world": {"obstacles": [[90.0, 0.0]]}}, "$.world.obstacles[0]"),
+        ({"mission": [walk(trajectory="zigzag")]}, "$.mission[0].trajectory"),
+        ({"mission": [walk(stride_L_cm=50.0)]}, "$.mission[0]"),
+        ({"mission": [{"type": "turn", "angle_deg": math.nan}]}, "$.mission[0].angle_deg"),
+        ({"friction_mu": -1.0}, "$.friction_mu"),
+    ])
+    def test_malformed_inputs_name_their_path(self, overrides, path):
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(minimal_doc(**overrides))
+        assert str(info.value).startswith(path + ":")
+
+    @settings(max_examples=200, deadline=None)
+    @given(single_field_mutants())
+    def test_single_field_mutants_load_or_name_their_path(self, doc):
+        try:
+            load_scenario(doc)
+        except ScenarioError as exc:
+            assert str(exc).startswith("$")
+
 
 class TestTraceOutputs:
     def test_trace_lines_are_parseable_and_on_the_time_grid(self, tmp_path):
@@ -181,6 +298,12 @@ class TestTraceOutputs:
         monkeypatch.setattr(harness, "world_feet", counting)
         trace, _ = run_simulation(load_scenario(bundled_scenario_path("block10")))
         assert calls / len(trace) < 2.0
+
+    def test_halt_time_is_a_whole_number_of_ticks(self):
+        sc = load_scenario(minimal_doc(mission=[walk(distance_cm=300.0, adaptive=False)]))
+        sc.max_sim_time_s = 7.0
+        _trace, summary = run_simulation(sc)
+        assert summary["halt"] == {"t": 7.0, "reason": "timeout"}
 
 
 class TestDeterminism:
@@ -260,6 +383,23 @@ class TestCli:
         path = tmp_path / "lidar.json"
         path.write_text(json.dumps(doc))
         assert main(["run", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--scenario", "{list_json}", "--seed", "3"],
+        ["compare-trajectories", "--L", "50"],
+        ["compare-trajectories", "--H", "0"],
+        ["steer", "--angle", "nan"],
+        ["run", "--scenario", "{block14}", "--trace", "{missing}/t.jsonl"],
+        ["run", "--scenario", "{block14}", "--summary", "{missing}/s.json"],
+        ["steer", "--angle", "10", "--trace", "{missing}/x.jsonl"],
+    ])
+    def test_input_and_output_errors_exit_1(self, argv, tmp_path, capsys):
+        list_json = tmp_path / "list.json"
+        list_json.write_text("[1, 2]")
+        names = {"list_json": list_json, "block14": bundled_scenario_path("block14"),
+                 "missing": tmp_path / "missing"}
+        assert main([arg.format(**names) for arg in argv]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
     def test_trace2svg_subcommand(self, tmp_path, capsys):
