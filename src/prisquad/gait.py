@@ -189,7 +189,8 @@ def select_trajectory(
     if it is climbable and recommends a halt (None) if it exceeds the
     vertical travel; ropes pick rectangular-1 above 5 cm and rectangular-2 at
     or below; a tilted body beyond the threshold picks the tilted circular
-    shape matched to the pitch; flat clear ground walks triangular.
+    shape matched to the pitch; flat clear ground walks triangular.  A
+    triangular ``current``, or a tilted one at this pitch, is returned as is.
     """
     geom = geom or RobotGeometry()
     obstacle = summary.obstacle
@@ -203,6 +204,8 @@ def select_trajectory(
                 return preset(TrajectoryKind.RECT1)
             return preset(TrajectoryKind.RECT2)
     if abs(summary.body_pitch) >= math.radians(tilt_threshold_deg):
+        if current.kind is TrajectoryKind.TILTED_CIRCULAR and current.tilt == summary.body_pitch:
+            return current
         return preset(TrajectoryKind.TILTED_CIRCULAR, tilt=summary.body_pitch)
     if current.kind is not TrajectoryKind.TRIANGULAR:
         return preset(TrajectoryKind.TRIANGULAR)
@@ -346,9 +349,12 @@ class GaitExecutor:
         cfg = self.config
         if not cfg.adaptive:
             return
+        # the spec the next stride will use; the selector keeps it when it
+        # still fits, so a steady slope builds no new tilted spec per tick
+        target = state.pending_spec or state.active_spec
         recommended = select_trajectory(
             summary,
-            state.active_spec,
+            target,
             self.geom,
             trigger_range_cm=cfg.trigger_range_cm,
             tilt_threshold_deg=cfg.tilt_threshold_deg,
@@ -371,7 +377,6 @@ class GaitExecutor:
             state.halt_reason = "infeasible obstacle"
             state.events.append({"type": "halt", "reason": state.halt_reason})
             return
-        target = state.pending_spec or state.active_spec
         if recommended.kind is not target.kind:
             state.events.append(
                 {

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import reprlib
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -24,7 +25,9 @@ from .gait import (
     SensorSummary,
 )
 from .kinematics import (
+    ContactViolation,
     DhLegParams,
+    FootPositions,
     body_frame_feet,
     rigid_pose_from_pins,
     world_feet,
@@ -44,7 +47,9 @@ from .model import (
     standing_state,
     wrap_angle,
 )
-from .trajectory import SLIDE_SPEED_CAP, STEER_SPEED_CAP, VERT_SPEED_CAP, make_trajectory, preset
+from .trajectory import (
+    SLIDE_SPEED_CAP, STEER_SPEED_CAP, VERT_SPEED_CAP, make_trajectory, preset, walk_step_count,
+)
 
 # contact must register before the end-of-travel switch can freeze a
 # descending leg 0.05 cm short of the ground
@@ -62,11 +67,15 @@ class ScenarioError(ValueError):
 # --- stability ----------------------------------------------------------------
 
 
-def convex_hull(points: np.ndarray) -> np.ndarray:
-    """Convex hull (counter-clockwise, no repeated endpoint) via monotone chain."""
-    pts = sorted({(float(p[0]), float(p[1])) for p in points})
+def convex_hull(points: Iterable[Sequence[float]]) -> list[tuple[float, float]]:
+    """Convex hull of planar points via monotone chain.
+
+    Returns the hull's vertices as ``(x, z)`` float tuples, counter-clockwise
+    with no repeated endpoint; two or fewer distinct points come back sorted.
+    """
+    pts = sorted({(float(x), float(z)) for x, z in points})
     if len(pts) <= 2:
-        return np.asarray(pts)
+        return pts
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -81,11 +90,12 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    return np.asarray(lower[:-1] + upper[:-1])
+    return lower[:-1] + upper[:-1]
 
 
-def signed_distance_to_hull(point: tuple[float, float], hull: np.ndarray) -> float:
-    """Signed distance to a convex polygon: positive inside, negative outside."""
+def signed_distance_to_hull(point: tuple[float, float], hull: Sequence[tuple[float, float]]) -> float:
+    """Signed distance to a convex polygon given as counter-clockwise
+    ``(x, z)`` vertices: positive inside, negative outside."""
     px, pz = point
     n = len(hull)
     if n == 0:
@@ -113,19 +123,20 @@ def signed_distance_to_hull(point: tuple[float, float], hull: np.ndarray) -> flo
 
 
 def foot_contact_corners(
-    center: tuple[float, float], heading: float, dims: tuple[float, float]
-) -> np.ndarray:
-    """World corners of one foot's contact rectangle (length along heading)."""
+    center: Sequence[float], heading: float, dims: tuple[float, float]
+) -> list[tuple[float, float]]:
+    """World corners of one foot's contact rectangle (length along heading),
+    as four ``(x, z)`` tuples."""
     half_l, half_w = dims[0] / 2.0, dims[1] / 2.0
     c, s = math.cos(heading), math.sin(heading)
-    corners = []
-    for dx, dz in ((half_l, half_w), (half_l, -half_w), (-half_l, -half_w), (-half_l, half_w)):
-        corners.append((center[0] + c * dx - s * dz, center[1] + s * dx + c * dz))
-    return np.asarray(corners)
+    return [
+        (center[0] + c * dx - s * dz, center[1] + s * dx + c * dz)
+        for dx, dz in ((half_l, half_w), (half_l, -half_w), (-half_l, -half_w), (-half_l, half_w))
+    ]
 
 
 def check_stability(
-    foot_xz: np.ndarray,
+    foot_xz: Sequence[Sequence[float]],
     stance: tuple[int, ...],
     com_xz: tuple[float, float],
     contact_dims: tuple[float, float],
@@ -133,19 +144,19 @@ def check_stability(
 ) -> tuple[bool, float]:
     """Quasi-static stability of the body over the grounded feet.
 
-    The margin is the signed distance from the body centre's ground
-    projection to the convex hull of the stance feet's contact rectangles;
-    the pose is stable when the margin is non-negative.  At walking speeds
-    the zero-moment point coincides with this projection.
+    ``foot_xz`` holds each leg's planar ``(x, z)`` position.  The margin is
+    the signed distance from the body centre's ground projection to the
+    convex hull of the stance feet's contact rectangles; the pose is stable
+    when the margin is non-negative.  At walking speeds the zero-moment point
+    coincides with this projection.
     """
     if len(stance) < 2:
         return False, -math.inf
     corners = []
     for leg in stance:
         heading = 0.0 if foot_headings is None else foot_headings[leg]
-        corners.append(foot_contact_corners(tuple(foot_xz[leg]), heading, contact_dims))
-    hull = convex_hull(np.vstack(corners))
-    margin = signed_distance_to_hull(com_xz, hull)
+        corners += foot_contact_corners(foot_xz[leg], heading, contact_dims)
+    margin = signed_distance_to_hull(com_xz, convex_hull(corners))
     return margin >= 0.0, margin
 
 
@@ -396,18 +407,27 @@ def load_scenario(document: dict | str | Path) -> Scenario:
         sensors.ultrasonic_mounts = tuple(
             replace(m, height=sen["ultrasonic_height_cm"]) for m in sensors.ultrasonic_mounts
         )
-    for i, cmd in enumerate(doc["mission"]):
-        if cmd["type"] == "walk":
-            try:
-                preset(cmd["trajectory"], cmd["stride_L_cm"], cmd["stride_H_cm"]).validate(geometry)
-            except ValidationError as exc:
-                raise ScenarioError(f"$.mission[{i}]: {exc}") from None
-    return Scenario(
+    scenario = Scenario(
         geometry=geometry, leg_params=leg_params, world=world, gait=gait,
         sensors=sensors, actuators=actuators, mission=doc["mission"],
         **_present(doc, dt="dt", seed="seed", friction_mu="friction_mu"),
         trace_path=out.get("trace_jsonl"), summary_path=out.get("summary_json"),
     )
+    max_ticks = int(scenario.max_sim_time_s / scenario.dt)
+    for i, cmd in enumerate(doc["mission"]):
+        if cmd["type"] == "walk":
+            try:
+                spec = preset(cmd["trajectory"], cmd["stride_L_cm"], cmd["stride_H_cm"])
+                spec.validate(geometry)
+                steps = walk_step_count(cmd["distance_cm"], spec.stride_L)
+            except ValidationError as exc:
+                raise ScenarioError(f"$.mission[{i}]: {exc}") from None
+            if steps > max_ticks:  # every step takes at least one tick
+                raise ScenarioError(
+                    f"$.mission[{i}]: a {cmd['distance_cm']:g} cm walk takes more steps"
+                    f" than the {max_ticks} ticks a run may last"
+                )
+    return scenario
 
 
 # --- simulation engine -----------------------------------------------------------
@@ -446,19 +466,22 @@ class SimEngine:
         self._axis_velocity = {name: 0.0 for name in sensormod.AXIS_NAMES}
         self.anchor_pair = self.state.pinned_pair
         self.feet = self._snapshot()
-        self.anchor_world = np.array([self.feet.xz[leg] for leg in self.anchor_pair])
+        self.anchor_world = [self.feet.xz[leg] for leg in self.anchor_pair]
 
-    def _snapshot(self) -> FootSnapshot:
+    def _snapshot(self, local: FootPositions | None = None) -> FootSnapshot:
         """Foot geometry of the current pose, joints and pinned pair.
 
         The body rides parallel to the local walkable slope under its pinned
         stance feet (flat over block steps, inclined on ramps); its height is
         the least-squares fit of that line through the stance contacts, each
         at terrain + k3 - d_vert.  Pinned feet sit exactly on the terrain; the
-        free feet hang from that plane by their extension.
+        free feet hang from that plane by their extension.  ``local`` is the
+        body-frame feet of the current joints when the caller already has them.
         """
         pose, d_vert, k3, pair = self.pose, self.joints.d_vert, self.legs.k3, self.anchor_pair
-        xz = tuple(map(tuple, world_feet(pose, self.joints, self.legs, self.geom).xz.tolist()))
+        if local is None:
+            local = body_frame_feet(self.joints, self.legs, self.geom)
+        xz = world_feet(pose, self.joints, self.legs, self.geom, local).points
         fwd = pose.forward()
         u = tuple((px - pose.x) * fwd[0] + (pz - pose.z) * fwd[1] for px, pz in xz)
         terrain = tuple(self.world.terrain_height(px, pz) for px, pz in xz)
@@ -546,10 +569,13 @@ class SimEngine:
     def _resolve_pose(self) -> FootSnapshot:
         """Planar pose from the pinned stance feet, then pitch from terrain."""
         local = body_frame_feet(self.joints, self.legs, self.geom)
-        self.pose = rigid_pose_from_pins(
-            self.anchor_world, local.xz[list(self.anchor_pair)], self.pose.pitch
-        )
-        feet = self._snapshot()
+        try:
+            self.pose = rigid_pose_from_pins(
+                self.anchor_world, [local.points[leg] for leg in self.anchor_pair], self.pose.pitch
+            )
+        except ContactViolation:
+            self._record_halt("contact violation")  # the body keeps its previous pose
+        feet = self._snapshot(local)
         self.pose.pitch = math.atan(feet.slope)
         return feet
 
@@ -589,7 +615,7 @@ class SimEngine:
         cmd, self.state = self.executor.gait_tick(self.state, summary, self.joints, self.dt)
         if self.state.pinned_pair != prev_pinned:
             self.anchor_pair = self.state.pinned_pair
-            self.anchor_world = np.array([feet.xz[leg] for leg in self.anchor_pair])
+            self.anchor_world = [feet.xz[leg] for leg in self.anchor_pair]
 
         self._apply_actuators(cmd)
         feet = self._resolve_pose()
@@ -849,11 +875,22 @@ def emit_trace(trace: list[dict], path: str | Path) -> None:
 
 
 def load_trace(path: str | Path) -> list[dict]:
+    """Read a JSONL trace.  Raises ``ValidationError`` naming the line of the
+    first record that is not an object with ``feet`` and a list ``events``."""
     p = Path(path)
     try:
-        return [json.loads(line) for line in p.read_text().splitlines() if line.strip()]
+        lines = p.read_text().splitlines()
     except OSError as exc:
         raise OSError(f"cannot read trace from {p}: {exc}") from exc
+    trace = []
+    for number, line in enumerate(lines, 1):
+        if line.strip():
+            record = json.loads(line)
+            if not (isinstance(record, dict) and "feet" in record and isinstance(record.get("events"), list)):
+                raise ValidationError(f"{p} line {number}: expected an object with 'feet' and a list"
+                                      f" 'events', got {reprlib.repr(record)}")
+            trace.append(record)
+    return trace
 
 
 PAIR_FRONT_LEG = {"AC": 0, "BD": 1}

@@ -10,6 +10,7 @@ the lead screw.  The two prismatic directions are orthogonal by construction.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,12 +55,25 @@ def default_leg_params() -> DhLegParams:
     return DhLegParams()
 
 
-@dataclass
+@dataclass(frozen=True)
 class FootPositions:
-    """Per-leg foot coordinates: planar (x, z) and height y, order A, B, C, D."""
+    """Per-leg foot coordinates, order A, B, C, D.
 
-    xz: np.ndarray  # shape (4, 2)
-    y: np.ndarray  # shape (4,)
+    ``points`` holds each foot's planar position as an ``(x, z)`` float tuple
+    and ``heights`` its height y.  The numpy views ``xz`` (shape (4, 2)) and
+    ``y`` (shape (4,)) are built from them on each access.
+    """
+
+    points: tuple[tuple[float, float], ...]
+    heights: tuple[float, ...]
+
+    @property
+    def xz(self) -> np.ndarray:
+        return np.array(self.points)
+
+    @property
+    def y(self) -> np.ndarray:
+        return np.array(self.heights)
 
 
 def rot2(angle: float, x: float, z: float) -> tuple[float, float]:
@@ -84,15 +98,13 @@ def foot_planar_coords(com: BodyPose, theta: float, length: float) -> FootPositi
     half = length / 2.0
     ax, az = rot2(com.heading_phi + theta / 2.0, half, 0.0)
     bx, bz = rot2(com.heading_phi - theta / 2.0, half, 0.0)
-    xz = np.array(
-        [
-            [com.x + ax, com.z + az],  # A front-left
-            [com.x + bx, com.z + bz],  # B front-right
-            [com.x - ax, com.z - az],  # C rear-right
-            [com.x - bx, com.z - bz],  # D rear-left
-        ]
+    points = (
+        (com.x + ax, com.z + az),  # A front-left
+        (com.x + bx, com.z + bz),  # B front-right
+        (com.x - ax, com.z - az),  # C rear-right
+        (com.x - bx, com.z - bz),  # D rear-left
     )
-    return FootPositions(xz=xz, y=np.zeros(4))
+    return FootPositions(points, (0.0, 0.0, 0.0, 0.0))
 
 
 def base_theta_length(params: DhLegParams) -> tuple[float, float]:
@@ -136,31 +148,26 @@ def body_frame_feet(
     mid = geom.slide_travel_max / 2.0
     u_low = joints.slide_lower - mid
     u_up = joints.slide_upper - mid
-    xz = np.empty((4, 2))
-    y = np.empty(4)
+    points = []
     for i in range(4):
         lower_layer = i in PAIR_AC
-        u = u_low if lower_layer else u_up
-        lx = LEG_LONG_SIGN[i] * params.k1 + u
+        lx = LEG_LONG_SIGN[i] * params.k1 + (u_low if lower_layer else u_up)
         lz = LEG_LAT_SIGN[i] * params.k2
-        if lower_layer:
-            xz[i] = rot2(-joints.steer_alpha, lx, lz)
-        else:
-            xz[i] = (lx, lz)
-        y[i] = -params.k3 + joints.d_vert[i]
-    return FootPositions(xz=xz, y=y)
+        points.append(rot2(-joints.steer_alpha, lx, lz) if lower_layer else (lx, lz))
+    return FootPositions(tuple(points), tuple(-params.k3 + d for d in joints.d_vert))
 
 
 def world_feet(
-    pose: BodyPose, joints: JointState, params: DhLegParams, geom: RobotGeometry
+    pose: BodyPose, joints: JointState, params: DhLegParams, geom: RobotGeometry,
+    local: FootPositions | None = None,
 ) -> FootPositions:
-    """Feet in the world frame (heights still relative to the body centre)."""
-    local = body_frame_feet(joints, params, geom)
+    """Feet in the world frame (heights still relative to the body centre).
+    ``local`` is ``body_frame_feet(joints, params, geom)`` if the caller has it."""
+    if local is None:
+        local = body_frame_feet(joints, params, geom)
     c, s = math.cos(pose.heading_phi), math.sin(pose.heading_phi)
-    x = local.xz[:, 0]
-    z = local.xz[:, 1]
-    world = np.column_stack((pose.x + c * x - s * z, pose.z + s * x + c * z))
-    return FootPositions(xz=world, y=local.y)
+    points = tuple((pose.x + c * x - s * z, pose.z + s * x + c * z) for x, z in local.points)
+    return FootPositions(points, local.heights)
 
 
 # --- encoder conversions ---------------------------------------------------
@@ -230,23 +237,23 @@ def friction_angle(mu: float) -> float:
 
 
 def rigid_pose_from_pins(
-    anchors: np.ndarray, local: np.ndarray, pitch: float
+    anchors: Sequence[tuple[float, float]], local: Sequence[tuple[float, float]], pitch: float
 ) -> BodyPose:
-    """Solve the planar pose that maps two body-frame points onto two world
-    anchors exactly.
+    """Solve the planar pose that maps two body-frame ``(x, z)`` points onto
+    two world anchors exactly.
 
     Raises :class:`ContactViolation` if no rigid planar motion achieves it,
     which would mean a pinned foot has to slip.
     """
-    dw = anchors[1] - anchors[0]
-    db = local[1] - local[0]
-    heading = math.atan2(dw[1], dw[0]) - math.atan2(db[1], db[0])
+    (ax0, az0), (ax1, az1) = anchors
+    (bx0, bz0), (bx1, bz1) = local
+    heading = math.atan2(az1 - az0, ax1 - ax0) - math.atan2(bz1 - bz0, bx1 - bx0)
     c, s = math.cos(heading), math.sin(heading)
-    tx = anchors[0][0] - (c * local[0][0] - s * local[0][1])
-    tz = anchors[0][1] - (s * local[0][0] + c * local[0][1])
+    tx = ax0 - (c * bx0 - s * bz0)
+    tz = az0 - (s * bx0 + c * bz0)
     # residual on the second pin; nonzero only if the pinned pair deformed
-    rx = tx + c * local[1][0] - s * local[1][1] - anchors[1][0]
-    rz = tz + s * local[1][0] + c * local[1][1] - anchors[1][1]
+    rx = tx + c * bx1 - s * bz1 - ax1
+    rz = tz + s * bx1 + c * bz1 - az1
     if math.hypot(rx, rz) > 1e-9:
         raise ContactViolation(
             f"stance feet cannot stay pinned (residual {math.hypot(rx, rz):.3g} cm)"
@@ -274,5 +281,5 @@ def resolve_body_pose(
     geom = geom or RobotGeometry()
     before = world_feet(prev_pose, prev_joints, params, geom)
     local_new = body_frame_feet(new_joints, params, geom)
-    anchors = before.xz[list(stance)]
-    return rigid_pose_from_pins(anchors, local_new.xz[list(stance)], prev_pose.pitch)
+    anchors = [before.points[leg] for leg in stance]
+    return rigid_pose_from_pins(anchors, [local_new.points[leg] for leg in stance], prev_pose.pitch)

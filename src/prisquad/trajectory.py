@@ -298,6 +298,28 @@ class StepPlan:
         return 2.0 * self.advance_cm
 
 
+def walk_step_count(distance: float, stride_L: float) -> int:
+    """Number of steps :func:`plan_straight_walk` plans, found in O(1).
+
+    n steps cover n - 1 uniform advances of at most L/2: two half-advance
+    bookends plus n - 2 interior steps.
+    """
+    if distance < 0:
+        raise ValidationError("walk distance must be >= 0")
+    if distance == 0:
+        return 0
+    full = stride_L / 2.0
+    try:
+        n = max(2, round(distance / full) + 1)
+    except (ZeroDivisionError, OverflowError):
+        raise ValidationError(
+            f"a {distance:g} cm walk in {stride_L:g} cm strides has too many steps to count"
+        ) from None
+    while distance / (n - 1) > full + 1e-9:
+        n += 1
+    return n
+
+
 def plan_straight_walk(distance: float, spec: TrajectorySpec) -> list[StepPlan]:
     """Plan a straight walk as per-step body advances with alternating pairs.
 
@@ -306,16 +328,9 @@ def plan_straight_walk(distance: float, spec: TrajectorySpec) -> list[StepPlan]:
     oscillates symmetrically about centre and the feet end at their initial
     offsets relative to the body.  The advances sum exactly to ``distance``.
     """
-    if distance < 0:
-        raise ValidationError("walk distance must be >= 0")
-    if distance == 0:
+    n = walk_step_count(distance, spec.stride_L)
+    if n == 0:
         return []
-    full = spec.stride_L / 2.0
-    # n steps cover (n - 1) uniform advances: two half-advance bookends plus
-    # n - 2 interior steps
-    n = max(2, round(distance / full) + 1)
-    while distance / (n - 1) > full + 1e-9:
-        n += 1
     interior = distance / (n - 1)
     advances = [interior / 2.0] + [interior] * (n - 2) + [interior / 2.0]
     pairs = ["AC", "BD"]

@@ -65,6 +65,13 @@ class TestSelectTrajectory:
         assert out.kind is TrajectoryKind.TILTED_CIRCULAR
         assert out.tilt == pytest.approx(pitch)
 
+    def test_tilted_current_is_kept_for_its_own_pitch(self):
+        # no new spec (and no timing curve) is built while the slope holds
+        current = preset("tilted_circular", tilt=math.radians(15.0))
+        assert select_trajectory(clear_summary(body_pitch=current.tilt), current) is current
+        out = select_trajectory(clear_summary(body_pitch=math.radians(20.0)), current)
+        assert out.tilt == math.radians(20.0)
+
     def test_pitch_below_threshold_ignored(self):
         out = select_trajectory(
             clear_summary(body_pitch=math.radians(2.0)), preset("triangular")

@@ -2,16 +2,19 @@
 and the CLI surface."""
 
 import copy
+import hashlib
 import json
 import math
 import re
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prisquad import harness
+from prisquad import gait, harness, kinematics, trajectory
 from prisquad.cli import bundled_scenario_path, main
+from prisquad.kinematics import ContactViolation
 from prisquad.harness import (
     ScenarioError,
     check_stability,
@@ -25,8 +28,34 @@ from prisquad.harness import (
     trace2svg,
 )
 
+# sha256 of each bundled scenario's trace as emit_trace writes it (trace_schema 2)
+TRACE_SHA256 = {
+    "block10": "23bce354bb9c30878f0ff1abcd2159cddf8b67afb9117f2de84c6e6beb6085bd",
+    "block14": "c92f0024642622278eede9e27532df643a59f0ff5bcbaf2fcf1e8b116823cebe",
+    "flat": "5164337f0f659b6f0913d1a579851e8602defc97f9a1c8a25aca98856966a469",
+    "ramp20": "d12f516546ebcdcb34165950ff5adedba4391a53bb9174d662d28c996c149f45",
+    "ramp25": "1700b103349b93499c266cfbf273183dae5fcf5b6dad5993276f970ed065868e",
+    "rope12to5": "b31e8dbd3425fd6edfc1fdecd7911f77b8f14a34b66dad73cbb91cc3c8c10ed6",
+    "tensteps": "5164337f0f659b6f0913d1a579851e8602defc97f9a1c8a25aca98856966a469",
+    "turn45": "2e836e017beac101d720a8e070352f3fc4aa96b154c37c3bec31e021e7018e17",
+}
+
 BASE_FEET = np.array([[16.5, 28.0], [16.5, -28.0], [-16.5, -28.0], [-16.5, 28.0]])
 FOOT_DIMS = (20.0, 10.0)
+
+
+def count_calls(monkeypatch, name, *modules):
+    """Wrap the function ``name`` in each module with one shared call counter."""
+    calls = [0]
+    original = getattr(modules[0], name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def minimal_doc(**overrides):
@@ -205,6 +234,12 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="distance"):
             load_scenario(minimal_doc(mission=[{"type": "walk", "distance_cm": -1.0}]))
 
+    def test_walk_longer_than_the_run_is_rejected_without_planning(self):
+        start = time.perf_counter()
+        with pytest.raises(ScenarioError, match=r"^\$\.mission\[1\]: .*ticks"):
+            load_scenario(minimal_doc(mission=[walk(), walk(distance_cm=1e9)]))
+        assert time.perf_counter() - start < 1.0
+
     def test_every_key_loads(self):
         sc = load_scenario(FULL_DOC)
         assert sc.geometry.foot_contact == (18.0, 9.0)
@@ -299,11 +334,66 @@ class TestTraceOutputs:
         trace, _ = run_simulation(load_scenario(bundled_scenario_path("block10")))
         assert calls / len(trace) < 2.0
 
+    def test_body_frame_feet_are_computed_about_once_per_tick(self, monkeypatch):
+        # _snapshot reuses the body-frame feet _resolve_pose solved the pose with
+        calls = count_calls(monkeypatch, "body_frame_feet", kinematics, harness)
+        trace, _ = run_simulation(load_scenario(bundled_scenario_path("block10")))
+        assert calls[0] / len(trace) <= 1.1
+
+    def test_ramp_strides_build_a_bounded_number_of_curves(self, monkeypatch):
+        # the selector asks for a tilted spec on every tick on the ramp; only
+        # each stride's curve and one timing curve per new tilt get built
+        calls = count_calls(monkeypatch, "make_trajectory", trajectory, gait)
+        trace, _ = run_simulation(load_scenario(bundled_scenario_path("ramp20")))
+        strides = sum(ev["type"] == "step_start" for rec in trace for ev in rec["events"])
+        assert strides > 0
+        assert calls[0] <= 2 * strides
+
+    @pytest.mark.parametrize("name", sorted(TRACE_SHA256))
+    def test_bundled_traces_match_the_reference_digest(self, name, tmp_path):
+        trace, _ = run_simulation(load_scenario(bundled_scenario_path(name)))
+        path = tmp_path / "trace.jsonl"
+        emit_trace(trace, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == TRACE_SHA256[name]
+
     def test_halt_time_is_a_whole_number_of_ticks(self):
         sc = load_scenario(minimal_doc(mission=[walk(distance_cm=300.0, adaptive=False)]))
         sc.max_sim_time_s = 7.0
         _trace, summary = run_simulation(sc)
         assert summary["halt"] == {"t": 7.0, "reason": "timeout"}
+
+
+class TestContainedFailures:
+    @staticmethod
+    def failing_pose_solve(monkeypatch, on_call):
+        calls = 0
+        original = harness.rigid_pose_from_pins
+
+        def solve(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls == on_call:
+                raise ContactViolation("stance feet cannot stay pinned (residual 1 cm)")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "rigid_pose_from_pins", solve)
+
+    def test_pose_solve_failure_is_a_recorded_halt(self, monkeypatch):
+        self.failing_pose_solve(monkeypatch, on_call=50)
+        trace, summary = run_simulation(load_scenario(minimal_doc()))
+        assert summary["halt"] == {"t": 0.49, "reason": "contact violation"}
+        assert not summary["mission_success"]
+        assert len(trace) == 50
+        # the failed tick keeps the pose of the tick before it
+        assert (trace[-1]["x"], trace[-1]["z"]) == (trace[-2]["x"], trace[-2]["z"])
+
+    def test_pose_solve_failure_exits_2(self, monkeypatch, tmp_path, capsys):
+        self.failing_pose_solve(monkeypatch, on_call=50)
+        rc = main(["run", "--scenario", str(bundled_scenario_path("flat")),
+                   "--summary", str(tmp_path / "s.json")])
+        assert rc == 2
+        assert json.loads((tmp_path / "s.json").read_text())["halt"]["reason"] == "contact violation"
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestDeterminism:
@@ -401,6 +491,19 @@ class TestCli:
                  "missing": tmp_path / "missing"}
         assert main([arg.format(**names) for arg in argv]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("text, line", [
+        ("[1, 2]\n", 1),
+        ('{"t": 0.0, "events": []}\n', 1),
+        ('{"t": 0.0, "feet": [], "events": []}\n\n{"feet": [], "events": 3}\n', 3),
+    ])
+    def test_trace2svg_on_json_that_is_not_a_trace(self, text, line, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        path.write_text(text)
+        assert main(["trace2svg", "--in", str(path), "--out", str(tmp_path / "p.svg")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"line {line}:" in err
 
     def test_trace2svg_subcommand(self, tmp_path, capsys):
         trace_path = tmp_path / "t.jsonl"

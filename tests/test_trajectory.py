@@ -16,6 +16,7 @@ from prisquad.trajectory import (
     plan_straight_walk,
     preset,
     stride_timing,
+    walk_step_count,
     x_at_y,
     y_at_x,
 )
@@ -207,6 +208,13 @@ class TestPlanStraightWalk:
                 u[other] -= step.advance_cm
             assert u["AC"] == pytest.approx(0.0, abs=1e-9), distance
             assert u["BD"] == pytest.approx(0.0, abs=1e-9), distance
+
+    def test_step_count_needs_no_plan(self):
+        assert walk_step_count(0.0, 34.0) == 0
+        assert walk_step_count(9 * 17.0, 34.0) == 10
+        assert walk_step_count(1e9, 34.0) == 58823531
+        with pytest.raises(ValidationError, match="too many steps"):
+            walk_step_count(1e300, 5e-324)
 
 
 def test_dwell_defaults_cover_every_kind():
