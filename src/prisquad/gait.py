@@ -78,7 +78,6 @@ class ObstacleSighting:
 class SensorSummary:
     """Digested sensor inputs consumed by the gait logic."""
 
-    front_range: float | None = None
     body_pitch: float = 0.0
     yaw: float = 0.0
     obstacle: ObstacleSighting | None = None
@@ -115,7 +114,6 @@ class GaitConfig:
     vert_speed_cap: float = VERT_SPEED_CAP
     steer_speed_cap: float = STEER_SPEED_CAP
     speed_scale: float = 1.0
-    dwell_s: dict = field(default_factory=lambda: dict(DEFAULT_DWELL_S))
     adaptive: bool = True
     trigger_range_cm: float = 25.0
     tilt_threshold_deg: float = 3.0
@@ -136,7 +134,6 @@ class GaitState:
     active_spec: TrajectorySpec
     phase: GaitPhase = GaitPhase.IDLE
     step_index: int = 0
-    phase_progress: float = 0.0
     plan: list[StepPlan] = field(default_factory=list)
     events: list[dict] = field(default_factory=list)
     halt_reason: str | None = None
@@ -282,7 +279,6 @@ class GaitExecutor:
             state.active_spec = spec
         state.plan = plan_straight_walk(distance, state.active_spec)
         state.step_index = 0
-        state.phase_progress = 0.0
 
     def start_turn(self, state: GaitState, theta: float) -> None:
         if state.phase is not GaitPhase.IDLE:
@@ -330,7 +326,6 @@ class GaitExecutor:
         state.phase_hint = 0.0
         state.landing = False
         state.in_dwell = False
-        state.phase_progress = 0.0
         state.pd_prev_x = 0.0
         state.pd_prev_y = {leg: 0.0 for leg in swing}
         state.phase = GaitPhase.SWING_AC if swing == PAIR_AC else GaitPhase.SWING_BD
@@ -359,12 +354,7 @@ class GaitExecutor:
             trigger_range_cm=cfg.trigger_range_cm,
             tilt_threshold_deg=cfg.tilt_threshold_deg,
         )
-        if recommended is None:
-            key = "halt"
-        elif recommended.kind is TrajectoryKind.TILTED_CIRCULAR:
-            key = "tilted_circular"
-        else:
-            key = recommended.kind.value
+        key = "halt" if recommended is None else recommended.kind.value
         if key == state.streak_key:
             state.streak_count += 1
         else:
@@ -507,7 +497,6 @@ class GaitExecutor:
                 else:
                     state.plan = []
                     state.phase = GaitPhase.IDLE
-                    state.phase_progress = 0.0
                     state.events.append({"type": "walk_complete"})
             return
 
@@ -518,7 +507,6 @@ class GaitExecutor:
         # height with its own vertical axis
         y_lead = max(y_rel.values())
         pos = (x_rel, y_lead)
-        state.phase_progress = min(max(x_rel / span, 0.0), 1.0)
 
         contact = sensors.foot_contact
         end = state.curve.swing_end
@@ -571,11 +559,8 @@ class GaitExecutor:
             )
             if done:
                 state.step_index += 1
-                state.phase_progress = 1.0
                 state.in_dwell = True
-                state.dwell_remaining = cfg.dwell_s.get(
-                    state.active_spec.kind, DEFAULT_DWELL_S[TrajectoryKind.TRIANGULAR]
-                )
+                state.dwell_remaining = DEFAULT_DWELL_S[state.active_spec.kind]
                 state.events.append({"type": "step_complete", "index": state.step_index - 1})
             return
 

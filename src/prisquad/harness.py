@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import reprlib
+import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -41,7 +42,6 @@ from .model import (
     RobotGeometry,
     Rope,
     TrajectoryKind,
-    TrajectorySpec,
     ValidationError,
     WorldModel,
     standing_state,
@@ -198,6 +198,10 @@ class Scenario:
     trace_path: str | None = None
     summary_path: str | None = None
 
+    @property
+    def max_ticks(self) -> int:  # every walk step takes at least one tick
+        return int(self.max_sim_time_s / self.dt)
+
 
 # The scenario format is one table, SCENARIO_SCHEMA, of the nodes below.  Each
 # node's ``default`` is REQUIRED, OPTIONAL (an absent key keeps the default of
@@ -239,6 +243,8 @@ class Obj:
     default: object = OPTIONAL
     tagged: bool = False
 
+
+TRAJECTORY_NAMES = tuple(kind.value for kind in TrajectoryKind)
 
 _GAINS = Obj({
     "kp": Num("[0, inf)"), "ki": Num("[0, inf)"), "kd": Num("[0, inf)"),
@@ -283,7 +289,7 @@ SCENARIO_SCHEMA = Obj({
     "mission": ListOf(Obj(tagged=True, fields={
         "walk": {
             "distance_cm": Num("(0, inf)", REQUIRED),
-            "trajectory": Scalar(str, tuple(kind.value for kind in TrajectoryKind), "triangular"),
+            "trajectory": Scalar(str, TRAJECTORY_NAMES, "triangular"),
             "adaptive": Scalar(bool, default=True),
             # load_scenario checks the stride overrides against the geometry
             "stride_L_cm": Num("(0, inf)", None), "stride_H_cm": Num("(0, inf)", None),
@@ -413,7 +419,6 @@ def load_scenario(document: dict | str | Path) -> Scenario:
         **_present(doc, dt="dt", seed="seed", friction_mu="friction_mu"),
         trace_path=out.get("trace_jsonl"), summary_path=out.get("summary_json"),
     )
-    max_ticks = int(scenario.max_sim_time_s / scenario.dt)
     for i, cmd in enumerate(doc["mission"]):
         if cmd["type"] == "walk":
             try:
@@ -422,10 +427,10 @@ def load_scenario(document: dict | str | Path) -> Scenario:
                 steps = walk_step_count(cmd["distance_cm"], spec.stride_L)
             except ValidationError as exc:
                 raise ScenarioError(f"$.mission[{i}]: {exc}") from None
-            if steps > max_ticks:  # every step takes at least one tick
+            if steps > scenario.max_ticks:
                 raise ScenarioError(
                     f"$.mission[{i}]: a {cmd['distance_cm']:g} cm walk takes more steps"
-                    f" than the {max_ticks} ticks a run may last"
+                    f" than the {scenario.max_ticks} ticks a run may last"
                 )
     return scenario
 
@@ -594,18 +599,10 @@ class SimEngine:
         yaw, pitch = sensormod.read_imu(self.pose, sens.imu_noise_deg, self.rng)
         ultrasonic = [sensormod.read_ultrasonic(self.pose, self.world, m) for m in sens.ultrasonic_mounts]
         limit_low, limit_high = sensormod.read_limit_switches(self.joints, self.geom)
-        sighting = self._nearest_obstacle(feet.xz)
-        front_range = None
-        ranges = [r for r in ultrasonic if r is not None]
-        if ranges:
-            front_range = min(ranges)
-        elif sighting is not None:
-            front_range = sighting.range_cm
         summary = SensorSummary(
-            front_range=front_range,
             body_pitch=pitch,
             yaw=yaw,
-            obstacle=sighting,
+            obstacle=self._nearest_obstacle(feet.xz),
             foot_contact=feet.contacts,
             limit_low=limit_low,
             limit_high=limit_high,
@@ -710,14 +707,13 @@ class SimEngine:
         return {"mission_success": ok and self.halt is None, "commands": commands_out}
 
     def _run_until_idle(self) -> None:
-        max_ticks = int(self.sc.max_sim_time_s / self.dt)
         while self.state.phase is not GaitPhase.IDLE:
             if self.state.phase is GaitPhase.HALT:
                 if self.halt is None:
                     self._record_halt(self.state.halt_reason or "halt")
                     self.step()
                 return
-            if self.tick_index >= max_ticks:
+            if self.tick_index >= self.sc.max_ticks:
                 self._record_halt("timeout")
                 return
             self.step()
@@ -730,8 +726,15 @@ class SimEngine:
                 stride_L=command.get("stride_L_cm"),
                 stride_H=command.get("stride_H_cm"),
             )
+            try:  # load_scenario's bound, for the walks auto_navigate plans at run time
+                steps = walk_step_count(command["distance_cm"], spec.stride_L)
+            except ValidationError:  # too many steps to count
+                steps = math.inf
+            if steps > self.sc.max_ticks:
+                self._record_halt("walk too long")
+                return {"type": "walk", "requested_cm": command["distance_cm"], "travelled_cm": 0.0,
+                        "success": False}
             self.executor.config.adaptive = command["adaptive"]
-            self.state.active_spec = spec
             self.executor.start_walk(self.state, command["distance_cm"], spec)
             self.step()
             self._run_until_idle()
@@ -874,9 +877,36 @@ def emit_trace(trace: list[dict], path: str | Path) -> None:
         raise OSError(f"cannot write trace to {p}: {exc}") from exc
 
 
+PAIR_FRONT_LEG = {"AC": 0, "BD": 1}
+
+
+def _finite(value) -> bool:
+    """A finite JSON number: not a bool, NaN, infinity or an int beyond the float range."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _trace_record_fault(record) -> str | None:
+    """What keeps ``record`` from being a trace line ``trace2svg`` can read, or None."""
+    if not (isinstance(record, dict) and isinstance(record.get("events"), list)):
+        return "expected an object with 'feet' and a list 'events'"
+    feet = record.get("feet")
+    if not (isinstance(feet, list) and len(feet) in (0, 4) and all(
+            isinstance(foot, list) and len(foot) == 3 and all(map(_finite, foot)) for foot in feet)):
+        return "expected 'feet' to be four [x, y, z] triples of finite numbers, or none"
+    for ev in record["events"]:
+        if not (isinstance(ev, dict) and isinstance(ev.get("type"), str)):
+            return "expected every event to be an object with a string 'type'"
+        if ev["type"] == "step_start" and not (
+                ev.get("pair") in ("AC", "BD") and _finite(ev.get("span_cm"))
+                and ev.get("trajectory") in TRAJECTORY_NAMES and _finite(ev.get("tilt_rad", 0.0))):
+            return ("expected a step_start with 'pair' AC or BD, a finite 'span_cm', a known"
+                    " 'trajectory' and a finite 'tilt_rad' if present")
+    return None
+
+
 def load_trace(path: str | Path) -> list[dict]:
     """Read a JSONL trace.  Raises ``ValidationError`` naming the line of the
-    first record that is not an object with ``feet`` and a list ``events``."""
+    first record ``trace2svg`` could not read (see ``_trace_record_fault``)."""
     p = Path(path)
     try:
         lines = p.read_text().splitlines()
@@ -886,14 +916,11 @@ def load_trace(path: str | Path) -> list[dict]:
     for number, line in enumerate(lines, 1):
         if line.strip():
             record = json.loads(line)
-            if not (isinstance(record, dict) and "feet" in record and isinstance(record.get("events"), list)):
-                raise ValidationError(f"{p} line {number}: expected an object with 'feet' and a list"
-                                      f" 'events', got {reprlib.repr(record)}")
+            fault = _trace_record_fault(record)
+            if fault is not None:
+                raise ValidationError(f"{p} line {number}: {fault}, got {reprlib.repr(record)}")
             trace.append(record)
     return trace
-
-
-PAIR_FRONT_LEG = {"AC": 0, "BD": 1}
 
 
 def trace2svg(trace: list[dict], path: str | Path) -> None:
@@ -915,7 +942,7 @@ def trace2svg(trace: list[dict], path: str | Path) -> None:
                 strides.append(current)
             elif ev["type"] == "step_complete":
                 current = None
-        if current is not None:
+        if current is not None and rec["feet"]:  # a record without feet has no point to plot
             leg = PAIR_FRONT_LEG[current["pair"]]
             fx, fy, _fz = rec["feet"][leg]
             current["points"].append((fx, fy))
@@ -952,13 +979,7 @@ def trace2svg(trace: list[dict], path: str | Path) -> None:
         if len(pts) < 2:
             continue
         x0, y0 = pts[0]
-        spec = TrajectorySpec(
-            kind=TrajectoryKind(stride["trajectory"]),
-            stride_L=stride["span"],
-            stride_H=preset(stride["trajectory"]).stride_H,
-            period_s=1.0,
-            tilt=stride["tilt"],
-        )
+        spec = preset(stride["trajectory"], stride_L=stride["span"], tilt=stride["tilt"])
         try:
             curve = make_trajectory(spec)
             ref = [(x0 + px, y0 + py) for px, py in curve.swing_points]

@@ -16,7 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 LEGS = ("A", "B", "C", "D")
@@ -237,7 +237,6 @@ class TrajectorySpec:
     kind: TrajectoryKind
     stride_L: float
     stride_H: float
-    period_s: float
     tilt: float = 0.0
 
     def validate(self, geom: RobotGeometry | None = None) -> None:
@@ -250,13 +249,8 @@ class TrajectorySpec:
             raise ValidationError(
                 f"stride_H={self.stride_H:g} outside (0, {g.vertical_travel_max:g}]"
             )
-        if self.period_s <= 0.0:
-            raise ValidationError("period_s must be > 0")
         if self.kind is not TrajectoryKind.TILTED_CIRCULAR and self.tilt != 0.0:
             raise ValidationError("tilt is only meaningful for tilted_circular")
-
-    def with_tilt(self, tilt: float) -> "TrajectorySpec":
-        return replace(self, kind=TrajectoryKind.TILTED_CIRCULAR, tilt=tilt)
 
 
 @dataclass(frozen=True)

@@ -234,15 +234,13 @@ def make_trajectory(spec: TrajectorySpec, geom: RobotGeometry | None = None) -> 
 
 def preset(kind: TrajectoryKind | str, stride_L: float | None = None,
            stride_H: float | None = None, tilt: float = 0.0) -> TrajectorySpec:
-    """Named trajectory preset with the reference stride parameters."""
+    """Named trajectory preset with the reference stride parameters.  It builds
+    no curve; :func:`stride_timing` gives the spec's stride time."""
     kind = TrajectoryKind(kind)
     base = TIMING_TABLE.get(kind, TIMING_TABLE[TrajectoryKind.CIRCULAR])
     L = base[0] if stride_L is None else stride_L
     H = base[1] if stride_H is None else stride_H
-    spec = TrajectorySpec(kind=kind, stride_L=L, stride_H=H, period_s=1.0, tilt=tilt)
-    timing = stride_timing(spec)
-    return TrajectorySpec(kind=kind, stride_L=L, stride_H=H,
-                          period_s=timing.stride_time_s, tilt=tilt)
+    return TrajectorySpec(kind=kind, stride_L=L, stride_H=H, tilt=tilt)
 
 
 @dataclass(frozen=True)
@@ -265,7 +263,7 @@ def _swing_time_from_caps(curve: TrajectoryCurve) -> float:
     return float(np.sum(np.maximum(dx / (2.0 * SLIDE_SPEED_CAP), dy / VERT_SPEED_CAP)))
 
 
-def stride_timing(spec: TrajectorySpec, dwell_s: float | None = None) -> StrideTiming:
+def stride_timing(spec: TrajectorySpec) -> StrideTiming:
     """Minimum stride time and steady average body speed for a spec.
 
     The four canonical rows return their reference values exactly; any other
@@ -277,11 +275,10 @@ def stride_timing(spec: TrajectorySpec, dwell_s: float | None = None) -> StrideT
         return StrideTiming(stride_time_s=row[2], body_speed_cm_s=row[3])
     curve = make_trajectory(spec)
     t_swing = _swing_time_from_caps(curve)
-    dwell = DEFAULT_DWELL_S[spec.kind] if dwell_s is None else dwell_s
     advance = spec.stride_L / 2.0
     return StrideTiming(
         stride_time_s=t_swing,
-        body_speed_cm_s=advance / (t_swing + dwell),
+        body_speed_cm_s=advance / (t_swing + DEFAULT_DWELL_S[spec.kind]),
     )
 
 

@@ -23,7 +23,7 @@ from prisquad.trajectory import SegmentQueryError, make_trajectory
 
 
 def tri_curve(L=34.0, H=5.0):
-    return make_trajectory(TrajectorySpec(TrajectoryKind.TRIANGULAR, L, H, 1.0))
+    return make_trajectory(TrajectorySpec(TrajectoryKind.TRIANGULAR, L, H))
 
 
 class TestPdStep:

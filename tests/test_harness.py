@@ -39,6 +39,12 @@ TRACE_SHA256 = {
     "tensteps": "5164337f0f659b6f0913d1a579851e8602defc97f9a1c8a25aca98856966a469",
     "turn45": "2e836e017beac101d720a8e070352f3fc4aa96b154c37c3bec31e021e7018e17",
 }
+NOISY = {"sensors": {"imu_noise_deg": 0.5}, "seed": 0}
+# each row: bundled scenario, document overrides, trace sha256
+DIGEST_ROWS = [pytest.param(name, {}, digest, id=name) for name, digest in sorted(TRACE_SHA256.items())] + [
+    pytest.param("ramp20", NOISY, "074cc60f5f647ba71dc4e13cf4fa5d4dff624c140caa07b0df2d9409d8d3cc45",
+                 id="ramp20-imu0.5"),
+]
 
 BASE_FEET = np.array([[16.5, 28.0], [16.5, -28.0], [-16.5, -28.0], [-16.5, 28.0]])
 FOOT_DIMS = (20.0, 10.0)
@@ -340,21 +346,26 @@ class TestTraceOutputs:
         trace, _ = run_simulation(load_scenario(bundled_scenario_path("block10")))
         assert calls[0] / len(trace) <= 1.1
 
-    def test_ramp_strides_build_a_bounded_number_of_curves(self, monkeypatch):
-        # the selector asks for a tilted spec on every tick on the ramp; only
-        # each stride's curve and one timing curve per new tilt get built
+    @pytest.mark.parametrize("imu_noise_deg", [0.0, 0.5])
+    def test_ramp_strides_build_a_bounded_number_of_curves(self, imu_noise_deg, monkeypatch):
+        # the selector asks for a tilted spec on every tick on the ramp, and
+        # under noise every pitch reading differs; only each stride builds a curve
         calls = count_calls(monkeypatch, "make_trajectory", trajectory, gait)
-        trace, _ = run_simulation(load_scenario(bundled_scenario_path("ramp20")))
+        doc = json.loads(bundled_scenario_path("ramp20").read_text())
+        doc.update(sensors={"imu_noise_deg": imu_noise_deg}, seed=0)
+        trace, _ = run_simulation(load_scenario(doc))
         strides = sum(ev["type"] == "step_start" for rec in trace for ev in rec["events"])
         assert strides > 0
-        assert calls[0] <= 2 * strides
+        assert calls[0] <= strides
 
-    @pytest.mark.parametrize("name", sorted(TRACE_SHA256))
-    def test_bundled_traces_match_the_reference_digest(self, name, tmp_path):
-        trace, _ = run_simulation(load_scenario(bundled_scenario_path(name)))
+    @pytest.mark.parametrize("name, overrides, digest", DIGEST_ROWS)
+    def test_bundled_traces_match_the_reference_digest(self, name, overrides, digest, tmp_path):
+        doc = json.loads(bundled_scenario_path(name).read_text())
+        doc.update(overrides)
+        trace, _ = run_simulation(load_scenario(doc))
         path = tmp_path / "trace.jsonl"
         emit_trace(trace, path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == TRACE_SHA256[name]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_halt_time_is_a_whole_number_of_ticks(self):
         sc = load_scenario(minimal_doc(mission=[walk(distance_cm=300.0, adaptive=False)]))
@@ -438,6 +449,16 @@ class TestTraceToSvg:
             trace2svg([], tmp_path / "x.svg")
 
 
+def record(*events, feet=[[0, 0, 0]] * 4):
+    """One trace line as JSON text."""
+    return json.dumps({"feet": feet, "events": list(events)})
+
+
+def step_start(**fields):
+    """A step_start event; ``fields`` replace its well-formed ones."""
+    return {"type": "step_start", "pair": "AC", "span_cm": 34, "trajectory": "triangular", **fields}
+
+
 class TestCli:
     def test_run_exit_codes(self, tmp_path, capsys):
         rc = main(["run", "--scenario", str(bundled_scenario_path("flat")),
@@ -496,6 +517,12 @@ class TestCli:
         ("[1, 2]\n", 1),
         ('{"t": 0.0, "events": []}\n', 1),
         ('{"t": 0.0, "feet": [], "events": []}\n\n{"feet": [], "events": 3}\n', 3),
+        ('{"feet": 1, "events": [{"type": "step_start"}]}\n', 1),
+        (f'{record()}\n{record(step_start(pair="XY"))}\n', 2),
+        (f'{record(step_start(trajectory="foo"))}\n{record()}\n', 1),
+        (f'{record(step_start(span_cm="34"))}\n{record()}\n', 1),
+        (f'{record(7)}\n', 1),
+        (f'{record(step_start())}\n{record(feet=[1, 2, 3, 4])}\n', 2),
     ])
     def test_trace2svg_on_json_that_is_not_a_trace(self, text, line, tmp_path, capsys):
         path = tmp_path / "t.jsonl"
@@ -619,6 +646,17 @@ class TestAutoNavigate:
         trace, summary = run_simulation(load_scenario(doc))
         assert summary["mission_success"]
         assert summary["commands"][0]["distance_to_goal_cm"] <= 6.0
+
+    def test_goal_beyond_the_run_halts_before_planning(self, monkeypatch):
+        # the walk load_scenario would reject, planned at run time
+        calls = count_calls(monkeypatch, "plan_straight_walk", gait)
+        sc = load_scenario(minimal_doc(mission=[{"type": "auto_navigate", "goal_xz_cm": [2000, 0]}]))
+        sc.max_sim_time_s = 1.0
+        trace, summary = run_simulation(sc)
+        assert summary["halt"] == {"t": 0.0, "reason": "walk too long"}
+        assert not summary["mission_success"]
+        assert trace == []
+        assert calls[0] == 0
 
 
 class TestTrotInvariant:

@@ -102,17 +102,17 @@ class TestJointState:
 
 class TestTrajectorySpec:
     def test_stride_beyond_slide_travel_rejected(self):
-        spec = TrajectorySpec(TrajectoryKind.TRIANGULAR, stride_L=35.0, stride_H=5.0, period_s=1.0)
+        spec = TrajectorySpec(TrajectoryKind.TRIANGULAR, stride_L=35.0, stride_H=5.0)
         with pytest.raises(ValidationError):
             spec.validate()
 
     def test_height_beyond_vertical_travel_rejected(self):
-        spec = TrajectorySpec(TrajectoryKind.RECT1, stride_L=34.0, stride_H=13.5, period_s=1.0)
+        spec = TrajectorySpec(TrajectoryKind.RECT1, stride_L=34.0, stride_H=13.5)
         with pytest.raises(ValidationError):
             spec.validate()
 
     def test_tilt_reserved_for_tilted_kind(self):
-        spec = TrajectorySpec(TrajectoryKind.CIRCULAR, 34.0, 5.0, 1.0, tilt=0.1)
+        spec = TrajectorySpec(TrajectoryKind.CIRCULAR, 34.0, 5.0, tilt=0.1)
         with pytest.raises(ValidationError):
             spec.validate()
 

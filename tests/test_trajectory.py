@@ -25,8 +25,7 @@ from prisquad.trajectory import (
 def spec(kind, L=34.0, H=None, tilt=0.0):
     if H is None:
         H = 13.0 if kind == TrajectoryKind.RECT1 else 5.0
-    return TrajectorySpec(kind=TrajectoryKind(kind), stride_L=L, stride_H=H,
-                          period_s=1.0, tilt=tilt)
+    return TrajectorySpec(kind=TrajectoryKind(kind), stride_L=L, stride_H=H, tilt=tilt)
 
 
 kinds = st.sampled_from(
@@ -154,10 +153,6 @@ class TestStrideTiming:
         custom = spec(TrajectoryKind.TRIANGULAR, L=17.0, H=2.5)
         timing = stride_timing(custom)
         assert timing.stride_time_s == pytest.approx(0.5, rel=1e-6)
-
-    def test_presets_carry_the_timing_period(self):
-        assert preset("rect1").period_s == 3.6
-        assert preset("triangular").period_s == 1.0
 
 
 class TestPlanStraightWalk:
