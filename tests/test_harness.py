@@ -7,6 +7,7 @@ import json
 import math
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +46,11 @@ DIGEST_ROWS = [pytest.param(name, {}, digest, id=name) for name, digest in sorte
     pytest.param("ramp20", NOISY, "074cc60f5f647ba71dc4e13cf4fa5d4dff624c140caa07b0df2d9409d8d3cc45",
                  id="ramp20-imu0.5"),
 ]
+
+# each row: a digest scenario's tick count, the (type, t) of every trace event,
+# its halt and its minimum margin.  The rows hold behaviour, not bytes: a digest
+# re-recorded for a round-off change must leave every row as it is.
+BEHAVIOUR_ORACLE = json.loads(Path(__file__).with_name("behaviour_oracle.json").read_text())
 
 BASE_FEET = np.array([[16.5, 28.0], [16.5, -28.0], [-16.5, -28.0], [-16.5, 28.0]])
 FOOT_DIMS = (20.0, 10.0)
@@ -366,6 +372,16 @@ class TestTraceOutputs:
         path = tmp_path / "trace.jsonl"
         emit_trace(trace, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("row", [pytest.param(row, id=row["id"]) for row in BEHAVIOUR_ORACLE])
+    def test_bundled_runs_match_the_behaviour_oracle(self, row):
+        doc = json.loads(bundled_scenario_path(row["scenario"]).read_text())
+        doc.update(row["overrides"])
+        trace, summary = run_simulation(load_scenario(doc))
+        assert len(trace) == row["ticks"]
+        assert [[ev["type"], ev["t"]] for rec in trace for ev in rec["events"]] == row["events"]
+        assert summary["halt"] == row["halt"]
+        assert summary["min_margin_cm"] == pytest.approx(row["min_margin_cm"], abs=1e-9)
 
     def test_halt_time_is_a_whole_number_of_ticks(self):
         sc = load_scenario(minimal_doc(mission=[walk(distance_cm=300.0, adaptive=False)]))
