@@ -6,6 +6,8 @@ commands.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,10 +136,16 @@ class PurePursuitState:
             raise ValidationError("lookahead must be > 0")
 
 
-def _as_path(reference) -> np.ndarray:
+def _float_polyline(reference) -> tuple[Sequence[tuple[float, float]], Sequence[float]]:
+    """A path's points and cumulative arc lengths as Python floats: the views a
+    curve built once, or those of a point sequence."""
     if isinstance(reference, TrajectoryCurve):
-        return reference.swing_points
-    return np.asarray(reference, dtype=float)
+        return reference.swing_xy, reference.swing_cumlen
+    path = [(float(x), float(y)) for x, y in reference]
+    cumlen = [0.0]
+    for (ax, ay), (bx, by) in zip(path, path[1:]):
+        cumlen.append(cumlen[-1] + math.hypot(bx - ax, by - ay))
+    return path, cumlen
 
 
 def pure_pursuit_goal(
@@ -145,59 +153,58 @@ def pure_pursuit_goal(
     current: tuple[float, float],
     phase_hint: float,
     lookahead: float,
-) -> tuple[np.ndarray, float]:
+) -> tuple[tuple[float, float], float]:
     """Goal point a fixed distance ahead on the reference path.
 
     Walks the path polyline forward from ``phase_hint`` (a fraction of total
     path length) and returns the first point whose distance from ``current``
     equals ``lookahead``, found by circle-segment intersection.  If the
     remaining path lies entirely within the lookahead circle the path end
-    point is returned.  The result is ``(goal_xy, goal_phase)``.
+    point is returned.  The result is ``(goal_xy, goal_phase)``, with the goal
+    a float tuple.
     """
     if lookahead <= 0:
         raise ValidationError("lookahead must be > 0")
-    path = _as_path(reference)
-    if isinstance(reference, TrajectoryCurve):
-        cumlen = reference.swing_cumlen
-    else:
-        deltas = np.diff(path, axis=0)
-        cumlen = np.concatenate(([0.0], np.cumsum(np.hypot(deltas[:, 0], deltas[:, 1]))))
-    total = float(cumlen[-1])
+    path, cumlen = _float_polyline(reference)
+    total = cumlen[-1]
     if total <= 0:
-        return path[-1].copy(), 1.0
-    p = np.asarray(current, dtype=float)
+        return path[-1], 1.0
     start_len = min(max(phase_hint, 0.0), 1.0) * total
-    i0 = int(np.searchsorted(cumlen, start_len, side="right")) - 1
-    i0 = min(max(i0, 0), len(path) - 2)
+    i0 = min(max(bisect_right(cumlen, start_len) - 1, 0), len(path) - 2)
     for i in range(i0, len(path) - 1):
-        a = path[i] if i > i0 else _interp(path, cumlen, i, start_len)
-        b = path[i + 1]
-        hit = _circle_segment_exit(p, lookahead, a, b)
+        if i > i0:
+            a, seg_start = path[i], cumlen[i]
+        else:
+            a, seg_start = _interp(path, cumlen, i, start_len), start_len
+        hit = _circle_segment_exit(current, lookahead, a, path[i + 1])
         if hit is not None:
             goal, t = hit
-            seg_start = cumlen[i] if i > i0 else start_len
-            goal_len = seg_start + t * (cumlen[i + 1] - seg_start)
-            return goal, goal_len / total
-    return path[-1].copy(), 1.0
+            return goal, (seg_start + t * (cumlen[i + 1] - seg_start)) / total
+    return path[-1], 1.0
 
 
-def _interp(path: np.ndarray, cumlen: np.ndarray, i: int, arc: float) -> np.ndarray:
+def _interp(
+    path: Sequence[tuple[float, float]], cumlen: Sequence[float], i: int, arc: float
+) -> tuple[float, float]:
     span = cumlen[i + 1] - cumlen[i]
     t = 0.0 if span <= 0 else (arc - cumlen[i]) / span
-    return path[i] + t * (path[i + 1] - path[i])
+    (ax, ay), (bx, by) = path[i], path[i + 1]
+    return (ax + t * (bx - ax), ay + t * (by - ay))
+
 
 def _circle_segment_exit(
-    center: np.ndarray, radius: float, a: np.ndarray, b: np.ndarray
+    center: tuple[float, float], radius: float, a: tuple[float, float], b: tuple[float, float]
 ):
     """First point along segment a->b at exactly ``radius`` from ``center``,
     searching only where the path leaves the circle."""
-    d = b - a
-    f = a - center
-    aa = float(d @ d)
+    (ax, ay), (bx, by) = a, b
+    dx, dy = bx - ax, by - ay
+    fx, fy = ax - center[0], ay - center[1]
+    aa = dx * dx + dy * dy
     if aa == 0.0:
         return None
-    bb = 2.0 * float(f @ d)
-    cc = float(f @ f) - radius * radius
+    bb = 2.0 * (fx * dx + fy * dy)
+    cc = fx * fx + fy * fy - radius * radius
     disc = bb * bb - 4.0 * aa * cc
     if disc < 0:
         return None
@@ -206,7 +213,7 @@ def _circle_segment_exit(
         if 0.0 <= t <= 1.0:
             # keep only crossings heading outward (distance increasing)
             if bb + 2.0 * aa * t >= 0.0:
-                return a + t * d, t
+                return (ax + t * dx, ay + t * dy), t
     return None
 
 
@@ -216,11 +223,11 @@ def pure_pursuit_velocity(
     """Velocity of magnitude ``speed_ref`` pointing from the foot at the goal."""
     if speed_ref <= 0:
         raise ValidationError("speed_ref must be > 0")
-    d = np.asarray(goal, dtype=float) - np.asarray(current, dtype=float)
-    norm = math.hypot(d[0], d[1])
+    dx, dy = goal[0] - current[0], goal[1] - current[1]
+    norm = math.hypot(dx, dy)
     if norm == 0.0:
         return np.zeros(2)
-    return speed_ref * d / norm
+    return np.array((speed_ref * dx / norm, speed_ref * dy / norm))
 
 
 def envelope_speed(direction: np.ndarray, vx_cap: float, vy_cap: float) -> float:

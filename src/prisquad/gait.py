@@ -411,11 +411,11 @@ class GaitExecutor:
     @staticmethod
     def _segment_at_phase(curve: TrajectoryCurve, phase: float):
         """Analytic segment under a swing phase (sample indices map evenly)."""
-        swing_segments = [s for s in curve.segments if s.name != "ground_return"]
-        pts = curve.swing_points
-        per = (len(pts) - 1) / len(swing_segments)
-        idx = min(int(min(max(phase, 0.0), 1.0) * (len(pts) - 1)), len(pts) - 2)
-        return swing_segments[min(int(idx / per), len(swing_segments) - 1)]
+        segments = curve.swing_segments
+        n = len(curve.swing_xy)
+        per = (n - 1) / len(segments)
+        idx = min(int(min(max(phase, 0.0), 1.0) * (n - 1)), n - 2)
+        return segments[min(int(idx / per), len(segments) - 1)]
 
     def _vel_pid(self, state: GaitState, axis: str, v_des: float, v_meas: float, dt: float) -> float:
         """Feedforward plus PID trim on a measured axis velocity."""
@@ -509,7 +509,6 @@ class GaitExecutor:
         pos = (x_rel, y_lead)
 
         contact = sensors.foot_contact
-        end = state.curve.swing_end
         if not state.landing:
             goal, gphase = pure_pursuit_goal(state.curve, pos, state.phase_hint, cfg.lookahead_cm)
             state.phase_hint = max(state.phase_hint, gphase)
@@ -569,13 +568,13 @@ class GaitExecutor:
         speed = envelope_speed(direction, 2.0 * cfg.slide_speed_cap, cfg.vert_speed_cap)
         speed *= cfg.speed_scale
         if speed > 0.0:
-            v_ref = pure_pursuit_velocity(pos, goal, speed)
+            vx_ref, vy_ref = pure_pursuit_velocity(pos, goal, speed).tolist()
         else:
-            v_ref = (0.0, 0.0)
+            vx_ref = vy_ref = 0.0
         ex, _ = self._shape_errors(state, pos)
         trim_x = pd_step(cfg.pd_position, ex, state.pd_prev_x, dt)
         state.pd_prev_x = ex
-        vx = v_ref[0] + trim_x
+        vx = vx_ref + trim_x
 
         # split the ground-frame x rate between the two carriages; the stance
         # carriage carries a sync trim so the body advances by exactly half
@@ -599,7 +598,7 @@ class GaitExecutor:
             state.last_errors[leg] = (ex, ey)
             trim_y = pd_step(cfg.pd_position, ey, state.pd_prev_y.get(leg, 0.0), dt)
             state.pd_prev_y[leg] = ey
-            vy = v_ref[1] + trim_y
+            vy = vy_ref + trim_y
             if prev is not None:
                 v_meas = (joints.d_vert[leg] - prev.d_vert[leg]) / dt
             else:

@@ -135,6 +135,41 @@ def foot_contact_corners(
     ]
 
 
+def shared_heading_margin(
+    centres: Sequence[Sequence[float]],
+    heading: float,
+    com_xz: tuple[float, float],
+    contact_dims: tuple[float, float],
+) -> float:
+    """Closed-form stability margin over contact rectangles of one heading.
+
+    The support polygon is then hull(centres) plus the rectangle (a Minkowski
+    sum), whose edge normals are among the rectangle's two axes and the
+    normals of each pair of centres.  Along each such unit normal the polygon
+    reaches ``max(n . c_i) + extent(n)`` on one side and ``-min(n . c_i) +
+    extent(n)`` on the other, measured from the body centre; the least of
+    these is the margin.  A non-negative result is the exact distance to the
+    boundary, a negative one only bounds the distance outside.
+    """
+    half_l, half_w = contact_dims[0] / 2.0, contact_dims[1] / 2.0
+    c, s = math.cos(heading), math.sin(heading)
+    px, pz = com_xz
+    rel = [(x - px, z - pz) for x, z in centres]
+    axes = [(c, s, half_l), (-s, c, half_w)]
+    for i, (ax, az) in enumerate(rel):
+        for bx, bz in rel[i + 1:]:
+            ex, ez = bx - ax, bz - az
+            length = math.hypot(ex, ez)
+            if length > 0.0:
+                nx, nz = -ez / length, ex / length
+                axes.append((nx, nz, half_l * abs(nx * c + nz * s) + half_w * abs(nz * c - nx * s)))
+    margin = math.inf
+    for nx, nz, extent in axes:
+        proj = [nx * x + nz * z for x, z in rel]
+        margin = min(margin, min(max(proj), -min(proj)) + extent)
+    return margin
+
+
 def check_stability(
     foot_xz: Sequence[Sequence[float]],
     stance: tuple[int, ...],
@@ -148,13 +183,20 @@ def check_stability(
     the signed distance from the body centre's ground projection to the
     convex hull of the stance feet's contact rectangles; the pose is stable
     when the margin is non-negative.  At walking speeds the zero-moment point
-    coincides with this projection.
+    coincides with this projection.  When every stance rectangle has the same
+    heading the margin has a closed form (:func:`shared_heading_margin`); the
+    hull of the corners is built only for mixed headings or a body centre
+    outside the polygon.
     """
     if len(stance) < 2:
         return False, -math.inf
+    headings = [0.0 if foot_headings is None else foot_headings[leg] for leg in stance]
+    if headings.count(headings[0]) == len(headings):
+        margin = shared_heading_margin([foot_xz[leg] for leg in stance], headings[0], com_xz, contact_dims)
+        if margin >= 0.0:
+            return True, margin
     corners = []
-    for leg in stance:
-        heading = 0.0 if foot_headings is None else foot_headings[leg]
+    for leg, heading in zip(stance, headings):
         corners += foot_contact_corners(foot_xz[leg], heading, contact_dims)
     margin = signed_distance_to_hull(com_xz, convex_hull(corners))
     return margin >= 0.0, margin

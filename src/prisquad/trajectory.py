@@ -15,6 +15,7 @@ L/4 either side of centre.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,15 +117,14 @@ class TrajectoryCurve:
     def __init__(self, spec: TrajectorySpec, segments: list[Segment]):
         self.spec = spec
         self.segments = segments
+        self.swing_segments = [seg for seg in segments if seg.name != "ground_return"]
         self._by_name = {seg.name: seg for seg in segments}
         self.tilt = spec.tilt
         self._build_polyline()
 
     def _build_polyline(self) -> None:
         pts: list[tuple[float, float]] = []
-        for seg in self.segments:
-            if seg.name == "ground_return":
-                continue
+        for seg in self.swing_segments:
             if seg.shape == "ellipse":
                 phis = np.linspace(seg.phi[0], seg.phi[1], self.ELLIPSE_SAMPLES)
                 cx, cy = seg.center
@@ -149,12 +149,15 @@ class TrajectoryCurve:
         self.swing_points = swing
         deltas = np.diff(swing, axis=0)
         seg_len = np.hypot(deltas[:, 0], deltas[:, 1])
-        self.swing_cumlen = np.concatenate(([0.0], np.cumsum(seg_len)))
-        self.swing_arc_length = float(self.swing_cumlen[-1])
+        # Python-float views of the polyline and its cumulative arc length,
+        # for the per-tick lookups
+        self.swing_xy: tuple[tuple[float, float], ...] = tuple(map(tuple, swing.tolist()))
+        self.swing_cumlen: tuple[float, ...] = tuple(np.concatenate(([0.0], np.cumsum(seg_len))).tolist())
+        self.swing_arc_length = self.swing_cumlen[-1]
 
     @property
     def swing_end(self) -> tuple[float, float]:
-        return tuple(self.swing_points[-1])
+        return self.swing_xy[-1]
 
     def segment(self, name: str) -> Segment:
         try:
@@ -167,11 +170,10 @@ class TrajectoryCurve:
         s = s % 1.0
         if s <= 0.5:
             target = (s / 0.5) * self.swing_arc_length
-            i = int(np.searchsorted(self.swing_cumlen, target, side="right")) - 1
-            i = min(max(i, 0), len(self.swing_points) - 2)
+            i = min(max(bisect_right(self.swing_cumlen, target) - 1, 0), len(self.swing_xy) - 2)
             span = self.swing_cumlen[i + 1] - self.swing_cumlen[i]
             t = 0.0 if span <= 0 else (target - self.swing_cumlen[i]) / span
-            p0, p1 = self.swing_points[i], self.swing_points[i + 1]
+            p0, p1 = self.swing_xy[i], self.swing_xy[i + 1]
             return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
         # ground return: straight back to the start point along the support line
         t = (s - 0.5) / 0.5

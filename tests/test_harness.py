@@ -2,6 +2,7 @@
 and the CLI surface."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from prisquad import gait, harness, kinematics, trajectory
 from prisquad.cli import bundled_scenario_path, main
@@ -31,19 +32,19 @@ from prisquad.harness import (
 
 # sha256 of each bundled scenario's trace as emit_trace writes it (trace_schema 2)
 TRACE_SHA256 = {
-    "block10": "23bce354bb9c30878f0ff1abcd2159cddf8b67afb9117f2de84c6e6beb6085bd",
-    "block14": "c92f0024642622278eede9e27532df643a59f0ff5bcbaf2fcf1e8b116823cebe",
-    "flat": "5164337f0f659b6f0913d1a579851e8602defc97f9a1c8a25aca98856966a469",
-    "ramp20": "d12f516546ebcdcb34165950ff5adedba4391a53bb9174d662d28c996c149f45",
-    "ramp25": "1700b103349b93499c266cfbf273183dae5fcf5b6dad5993276f970ed065868e",
-    "rope12to5": "b31e8dbd3425fd6edfc1fdecd7911f77b8f14a34b66dad73cbb91cc3c8c10ed6",
-    "tensteps": "5164337f0f659b6f0913d1a579851e8602defc97f9a1c8a25aca98856966a469",
-    "turn45": "2e836e017beac101d720a8e070352f3fc4aa96b154c37c3bec31e021e7018e17",
+    "block10": "c4ea12f1ae056fc25c58fc9feb314e69d251dc22908ddf8854c687fb0c313cf9",
+    "block14": "9d26462c55c304cd053c83f461a86a25042155917e2e91253463888ca0924eff",
+    "flat": "90e017555248bb9b6ec4f5ee7c8165650eb9641004e803d9025c34eaa478db83",
+    "ramp20": "1dcec225fd6d946db604c0ac4ac53ac40f4a7185ff4a735727821dcb6d1e310d",
+    "ramp25": "cffbf3f5c17bdaeb3c70779ddf3d477959fbb269c52e4f7661876ce92241abc6",
+    "rope12to5": "ab0dc50df6faca816a1ee7defe30a11ba06a5ed886249bb46b0a34fae14fde7c",
+    "tensteps": "90e017555248bb9b6ec4f5ee7c8165650eb9641004e803d9025c34eaa478db83",
+    "turn45": "2d2f2fc4318680ece826167c3d9822d0940ff8069e5cfe36a1471cf100d8a91f",
 }
 NOISY = {"sensors": {"imu_noise_deg": 0.5}, "seed": 0}
 # each row: bundled scenario, document overrides, trace sha256
 DIGEST_ROWS = [pytest.param(name, {}, digest, id=name) for name, digest in sorted(TRACE_SHA256.items())] + [
-    pytest.param("ramp20", NOISY, "074cc60f5f647ba71dc4e13cf4fa5d4dff624c140caa07b0df2d9409d8d3cc45",
+    pytest.param("ramp20", NOISY, "982f26686f9d71881f187673d4a93c955e620f0d6d63f1bab49c776e91dee5e2",
                  id="ramp20-imu0.5"),
 ]
 
@@ -201,6 +202,59 @@ class TestCheckStability:
         _, margin = check_stability(BASE_FEET, (0, 2), (0.0, 0.0), FOOT_DIMS)
         assert margin == pytest.approx(expected, abs=1e-9)
 
+
+def hull_margin(feet, stance, com, dims, headings):
+    """The general oracle: signed distance to the hull of every stance corner."""
+    corners = [c for leg in stance for c in harness.foot_contact_corners(feet[leg], headings[leg], dims)]
+    return signed_distance_to_hull(com, convex_hull(corners))
+
+
+@st.composite
+def stances(draw):
+    """2 to 4 stance feet in a 4-foot layout, contact dims and each foot's heading."""
+    coord = st.floats(-40.0, 40.0)
+    n = draw(st.integers(2, 4))
+    feet = [(draw(coord), draw(coord)) for _ in range(4)]
+    dims = (draw(st.floats(1.0, 30.0)), draw(st.floats(1.0, 30.0)))
+    heading = draw(st.floats(-math.pi, math.pi))
+    return feet, tuple(range(n)), dims, heading
+
+
+class TestClosedFormMargin:
+    @settings(max_examples=300)
+    @given(stances(), st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+    def test_agrees_with_the_hull_with_the_body_inside(self, stance_draw, weights):
+        feet, stance, dims, heading = stance_draw
+        w = [weights[leg] + 1e-3 for leg in stance]  # a convex combination: inside
+        com = tuple(sum(wi * feet[leg][k] for wi, leg in zip(w, stance)) / sum(w) for k in (0, 1))
+        stable, margin = check_stability(feet, stance, com, dims, (heading,) * 4)
+        assert stable
+        assert margin == pytest.approx(hull_margin(feet, stance, com, dims, (heading,) * 4), abs=1e-9)
+
+    @settings(max_examples=300)
+    @given(stances(), st.floats(0.0, 2.0 * math.pi), st.floats(100.0, 300.0))
+    def test_agrees_with_the_hull_with_the_body_outside(self, stance_draw, bearing, reach):
+        feet, stance, dims, heading = stance_draw
+        com = (reach * math.cos(bearing), reach * math.sin(bearing))  # beyond every corner
+        stable, margin = check_stability(feet, stance, com, dims, (heading,) * 4)
+        assert not stable
+        assert margin == pytest.approx(hull_margin(feet, stance, com, dims, (heading,) * 4), abs=1e-9)
+
+    @settings(max_examples=200)
+    @given(stances(), st.lists(st.floats(-math.pi, math.pi), min_size=4, max_size=4),
+           st.floats(-80.0, 80.0), st.floats(-80.0, 80.0))
+    def test_mixed_headings_take_the_hull_value(self, stance_draw, headings, x, z):
+        feet, stance, dims, _ = stance_draw
+        assume(len({headings[leg] for leg in stance}) > 1)
+        _, margin = check_stability(feet, stance, (x, z), dims, tuple(headings))
+        assert margin == hull_margin(feet, stance, (x, z), dims, headings)
+
+    def test_diagonal_pair_margin_is_the_strip_half_width(self):
+        n = (-56.0 / 65.0, 33.0 / 65.0)  # unit normal of the A-C diagonal
+        expected = abs(n[0]) * FOOT_DIMS[0] / 2 + abs(n[1]) * FOOT_DIMS[1] / 2
+        centres = [BASE_FEET[0], BASE_FEET[2]]
+        assert harness.shared_heading_margin(centres, 0.0, (0.0, 0.0), FOOT_DIMS) == pytest.approx(
+            expected, abs=1e-12)
 
 class TestLoadScenario:
     def test_minimal_document_fills_defaults(self):
@@ -382,6 +436,24 @@ class TestTraceOutputs:
         assert [[ev["type"], ev["t"]] for rec in trace for ev in rec["events"]] == row["events"]
         assert summary["halt"] == row["halt"]
         assert summary["min_margin_cm"] == pytest.approx(row["min_margin_cm"], abs=1e-9)
+
+    def test_no_numpy_scalar_reaches_the_engine_or_the_trace(self):
+        engine = harness.SimEngine(load_scenario(bundled_scenario_path("rope12to5")))
+        engine.run_mission()
+
+        def leaves(value):
+            if isinstance(value, dict):
+                value = list(value.values())
+            if isinstance(value, (list, tuple)):
+                for item in value:
+                    yield from leaves(item)
+            else:
+                yield value
+
+        state = [dataclasses.asdict(engine.pose), dataclasses.asdict(engine.joints),
+                 dataclasses.asdict(engine.feet)]
+        kinds = {type(v) for v in leaves(state + engine.trace)}
+        assert kinds <= {float, int, bool, str, type(None)}
 
     def test_halt_time_is_a_whole_number_of_ticks(self):
         sc = load_scenario(minimal_doc(mission=[walk(distance_cm=300.0, adaptive=False)]))
