@@ -626,11 +626,17 @@ class SimEngine:
         self.pose.pitch = math.atan(feet.slope)
         return feet
 
-    def _record_halt(self, reason: str) -> None:
+    def _record_halt(self, reason: str, event: bool = True) -> None:
+        """Halt the run at the current tick; the first reason wins.  A halt
+        found inside a tick is also a ``halt`` event in that tick's record, at
+        the same time as ``summary["halt"]``.  ``event=False`` is for halts
+        between ticks, which have no record to carry one."""
         if self.halt is None:
-            self.halt = {"t": self.tick_index * self.dt, "reason": reason}
+            self.halt = {"t": round(self.tick_index * self.dt, 9), "reason": reason}
             self.state.phase = GaitPhase.HALT
             self.state.halt_reason = reason
+            if event:
+                self.state.events.append({"type": "halt", "reason": reason})
 
     def step(self) -> dict:
         """Advance one tick: sense, decide, actuate, resolve, check, record."""
@@ -752,11 +758,14 @@ class SimEngine:
         while self.state.phase is not GaitPhase.IDLE:
             if self.state.phase is GaitPhase.HALT:
                 if self.halt is None:
-                    self._record_halt(self.state.halt_reason or "halt")
+                    # the gait halted in the tick just run, whose record holds
+                    # its halt event; the robot then stands for one more tick
+                    self.halt = {"t": round((self.tick_index - 1) * self.dt, 9),
+                                 "reason": self.state.halt_reason or "halt"}
                     self.step()
                 return
             if self.tick_index >= self.sc.max_ticks:
-                self._record_halt("timeout")
+                self._record_halt("timeout", event=False)
                 return
             self.step()
 
@@ -773,7 +782,7 @@ class SimEngine:
             except ValidationError:  # too many steps to count
                 steps = math.inf
             if steps > self.sc.max_ticks:
-                self._record_halt("walk too long")
+                self._record_halt("walk too long", event=False)
                 return {"type": "walk", "requested_cm": command["distance_cm"], "travelled_cm": 0.0,
                         "success": False}
             self.executor.config.adaptive = command["adaptive"]

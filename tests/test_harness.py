@@ -36,7 +36,7 @@ TRACE_SHA256 = {
     "block14": "9d26462c55c304cd053c83f461a86a25042155917e2e91253463888ca0924eff",
     "flat": "90e017555248bb9b6ec4f5ee7c8165650eb9641004e803d9025c34eaa478db83",
     "ramp20": "1dcec225fd6d946db604c0ac4ac53ac40f4a7185ff4a735727821dcb6d1e310d",
-    "ramp25": "cffbf3f5c17bdaeb3c70779ddf3d477959fbb269c52e4f7661876ce92241abc6",
+    "ramp25": "0b96f71f7e5bb909a45df13b4f51cc2c3479f219142cbdc585f81352ad6a6fc0",
     "rope12to5": "ab0dc50df6faca816a1ee7defe30a11ba06a5ed886249bb46b0a34fae14fde7c",
     "tensteps": "90e017555248bb9b6ec4f5ee7c8165650eb9641004e803d9025c34eaa478db83",
     "turn45": "2d2f2fc4318680ece826167c3d9822d0940ff8069e5cfe36a1471cf100d8a91f",
@@ -455,6 +455,14 @@ class TestTraceOutputs:
         kinds = {type(v) for v in leaves(state + engine.trace)}
         assert kinds <= {float, int, bool, str, type(None)}
 
+    @pytest.mark.parametrize("name, reason", [("block14", "infeasible obstacle"), ("ramp25", "slip")])
+    def test_a_halt_inside_a_tick_is_one_event_at_the_summary_time(self, name, reason):
+        trace, summary = run_simulation(load_scenario(bundled_scenario_path(name)))
+        assert summary["halt"]["reason"] == reason
+        assert summary["halts"] == [{"type": "halt", **summary["halt"]}]
+        (record,) = [rec for rec in trace if any(ev["type"] == "halt" for ev in rec["events"])]
+        assert record["t"] == summary["halt"]["t"]
+
     def test_halt_time_is_a_whole_number_of_ticks(self):
         sc = load_scenario(minimal_doc(mission=[walk(distance_cm=300.0, adaptive=False)]))
         sc.max_sim_time_s = 7.0
@@ -485,6 +493,12 @@ class TestContainedFailures:
         assert len(trace) == 50
         # the failed tick keeps the pose of the tick before it
         assert (trace[-1]["x"], trace[-1]["z"]) == (trace[-2]["x"], trace[-2]["z"])
+
+    def test_pose_solve_failure_is_a_trace_event(self, monkeypatch):
+        self.failing_pose_solve(monkeypatch, on_call=50)
+        trace, summary = run_simulation(load_scenario(minimal_doc()))
+        assert trace[-1]["events"][-1] == {"type": "halt", "reason": "contact violation", "t": 0.49}
+        assert summary["halts"] == [trace[-1]["events"][-1]]
 
     def test_pose_solve_failure_exits_2(self, monkeypatch, tmp_path, capsys):
         self.failing_pose_solve(monkeypatch, on_call=50)
