@@ -145,28 +145,43 @@ def shared_heading_margin(
 
     The support polygon is then hull(centres) plus the rectangle (a Minkowski
     sum), whose edge normals are among the rectangle's two axes and the
-    normals of each pair of centres.  Along each such unit normal the polygon
-    reaches ``max(n . c_i) + extent(n)`` on one side and ``-min(n . c_i) +
-    extent(n)`` on the other, measured from the body centre; the least of
-    these is the margin.  A non-negative result is the exact distance to the
-    boundary, a negative one only bounds the distance outside.
+    normals of each pair of centres.  Along each such unit normal n the
+    polygon reaches ``max(n . c_i) + extent(n)`` on one side and
+    ``-min(n . c_i) + extent(n)`` on the other, measured from the body
+    centre; the least of these is the margin.  A non-negative result is the
+    exact distance to the boundary, a negative one only bounds the distance
+    outside.
     """
     half_l, half_w = contact_dims[0] / 2.0, contact_dims[1] / 2.0
     c, s = math.cos(heading), math.sin(heading)
     px, pz = com_xz
-    rel = [(x - px, z - pz) for x, z in centres]
-    axes = [(c, s, half_l), (-s, c, half_w)]
-    for i, (ax, az) in enumerate(rel):
-        for bx, bz in rel[i + 1:]:
-            ex, ez = bx - ax, bz - az
-            length = math.hypot(ex, ez)
-            if length > 0.0:
-                nx, nz = -ez / length, ex / length
-                axes.append((nx, nz, half_l * abs(nx * c + nz * s) + half_w * abs(nz * c - nx * s)))
-    margin = math.inf
-    for nx, nz, extent in axes:
-        proj = [nx * x + nz * z for x, z in rel]
-        margin = min(margin, min(max(proj), -min(proj)) + extent)
+    # the centres in the rectangle's (u, w) frame, relative to the body centre
+    us, ws = [], []
+    for x, z in centres:
+        dx, dz = x - px, z - pz
+        us.append(c * dx + s * dz)
+        ws.append(c * dz - s * dx)
+    margin = min(min(max(us), -min(us)) + half_l, min(max(ws), -min(ws)) + half_w)
+    n = len(us)
+    for i in range(n - 1):
+        ui, wi = us[i], ws[i]
+        for j in range(i + 1, n):
+            du, dw = us[j] - ui, ws[j] - wi
+            length = math.hypot(du, dw)
+            if length == 0.0:
+                continue
+            # offsets along the pair's normal, scaled by -length; i and j share one
+            hi = lo = ui * dw - wi * du
+            for k in range(n):
+                if k != i and k != j:
+                    offset = us[k] * dw - ws[k] * du
+                    if offset > hi:
+                        hi = offset
+                    elif offset < lo:
+                        lo = offset
+            pair = ((hi if hi < -lo else -lo) + half_l * abs(dw) + half_w * abs(du)) / length
+            if pair < margin:
+                margin = pair
     return margin
 
 
@@ -190,14 +205,21 @@ def check_stability(
     """
     if len(stance) < 2:
         return False, -math.inf
-    headings = [0.0 if foot_headings is None else foot_headings[leg] for leg in stance]
-    if headings.count(headings[0]) == len(headings):
-        margin = shared_heading_margin([foot_xz[leg] for leg in stance], headings[0], com_xz, contact_dims)
+    if foot_headings is None:
+        foot_headings = (0.0,) * len(foot_xz)
+    heading = foot_headings[stance[0]]
+    centres = []
+    for leg in stance:
+        if foot_headings[leg] != heading:
+            break
+        centres.append(foot_xz[leg])
+    else:  # one shared heading
+        margin = shared_heading_margin(centres, heading, com_xz, contact_dims)
         if margin >= 0.0:
             return True, margin
     corners = []
-    for leg, heading in zip(stance, headings):
-        corners += foot_contact_corners(foot_xz[leg], heading, contact_dims)
+    for leg in stance:
+        corners += foot_contact_corners(foot_xz[leg], foot_headings[leg], contact_dims)
     margin = signed_distance_to_hull(com_xz, convex_hull(corners))
     return margin >= 0.0, margin
 

@@ -32,19 +32,19 @@ from prisquad.harness import (
 
 # sha256 of each bundled scenario's trace as emit_trace writes it (trace_schema 2)
 TRACE_SHA256 = {
-    "block10": "c4ea12f1ae056fc25c58fc9feb314e69d251dc22908ddf8854c687fb0c313cf9",
-    "block14": "9d26462c55c304cd053c83f461a86a25042155917e2e91253463888ca0924eff",
-    "flat": "90e017555248bb9b6ec4f5ee7c8165650eb9641004e803d9025c34eaa478db83",
-    "ramp20": "1dcec225fd6d946db604c0ac4ac53ac40f4a7185ff4a735727821dcb6d1e310d",
-    "ramp25": "0b96f71f7e5bb909a45df13b4f51cc2c3479f219142cbdc585f81352ad6a6fc0",
-    "rope12to5": "ab0dc50df6faca816a1ee7defe30a11ba06a5ed886249bb46b0a34fae14fde7c",
-    "tensteps": "90e017555248bb9b6ec4f5ee7c8165650eb9641004e803d9025c34eaa478db83",
-    "turn45": "2d2f2fc4318680ece826167c3d9822d0940ff8069e5cfe36a1471cf100d8a91f",
+    "block10": "3675feb7bfaeb45637cfde219ed316dbbaa225da1d4fd74a3113895266335502",
+    "block14": "0fe53ce5754bc34b38befb66820c27c1c1ea580a7a1ac49f3887f37009373707",
+    "flat": "0c427294af98fab4b65f114e74db28ecc9ec7907192d6db45539bc8dc24f670e",
+    "ramp20": "fb5456eb0a5612f264bc42fd948b42c543777afdc486c09f083a1e90eda11383",
+    "ramp25": "b25edd2d91c28abdfeffdbe1596fa4efbf883914c3a9d32023eb0409c63ebfe6",
+    "rope12to5": "c3205d01555a7fe546937dd3e73c5e0e6acfa8d23795530bdec75cdda07e00fb",
+    "tensteps": "0c427294af98fab4b65f114e74db28ecc9ec7907192d6db45539bc8dc24f670e",
+    "turn45": "34af3209c5d1e2ab9abb3a8d70535a9af63ad8cb8fd232b8a7a34bfa83cc1af6",
 }
 NOISY = {"sensors": {"imu_noise_deg": 0.5}, "seed": 0}
 # each row: bundled scenario, document overrides, trace sha256
 DIGEST_ROWS = [pytest.param(name, {}, digest, id=name) for name, digest in sorted(TRACE_SHA256.items())] + [
-    pytest.param("ramp20", NOISY, "982f26686f9d71881f187673d4a93c955e620f0d6d63f1bab49c776e91dee5e2",
+    pytest.param("ramp20", NOISY, "a8c48f836e086a6da77e2c9cf030b47bb9cddffbc87ba576ec4888486a431d0b",
                  id="ramp20-imu0.5"),
 ]
 
