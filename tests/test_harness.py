@@ -256,6 +256,7 @@ class TestClosedFormMargin:
         assert harness.shared_heading_margin(centres, 0.0, (0.0, 0.0), FOOT_DIMS) == pytest.approx(
             expected, abs=1e-12)
 
+
 class TestLoadScenario:
     def test_minimal_document_fills_defaults(self):
         sc = load_scenario(minimal_doc())
