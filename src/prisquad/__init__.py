@@ -20,10 +20,9 @@ from .kinematics import (
     foot_planar_coords,
     leg_forward_kinematics,
     leadscrew_torque,
-    resolve_body_pose,
 )
 from .trajectory import make_trajectory, plan_straight_walk, preset, stride_timing
-from .gait import GaitExecutor, SensorSummary, select_trajectory, steer_in_place
+from .gait import GaitExecutor, SensorSummary, select_trajectory
 from .harness import check_stability, load_scenario, run_simulation
 
 __all__ = [
@@ -46,10 +45,8 @@ __all__ = [
     "make_trajectory",
     "plan_straight_walk",
     "preset",
-    "resolve_body_pose",
     "run_simulation",
     "select_trajectory",
-    "steer_in_place",
     "stride_timing",
     "validate_joint_state",
 ]

@@ -18,33 +18,25 @@ from .trajectory import TrajectoryCurve
 
 @dataclass(frozen=True)
 class PidGains:
-    """Gains and saturation limits of one loop (units per loop).
-
-    ``output_filter_tau`` enables an optional first-order low-pass on the
-    command; zero (the default) leaves the output unfiltered.
-    """
+    """Gains and saturation limits of one loop (units per loop)."""
 
     kp: float = 0.0
     ki: float = 0.0
     kd: float = 0.0
     output_limit: float = math.inf
     integral_limit: float = math.inf
-    output_filter_tau: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kp < 0 or self.ki < 0 or self.kd < 0:
             raise ValidationError("gains must be >= 0")
         if self.output_limit <= 0 or self.integral_limit <= 0:
             raise ValidationError("limits must be > 0")
-        if self.output_filter_tau < 0:
-            raise ValidationError("filter time constant must be >= 0")
 
 
 @dataclass(frozen=True)
 class PidState:
     integral: float = 0.0
     prev_error: float = 0.0
-    filtered: float = 0.0
 
 
 def _clamp(value: float, limit: float) -> float:
@@ -65,9 +57,8 @@ def pid_step(
     """One parallel PID update.
 
     The integral accumulates error * dt and is clamped to the integral limit
-    (anti-windup); the output is clamped to the output limit and, when a
-    filter time constant is set, smoothed first-order.  Returns the command
-    and the successor state.
+    (anti-windup); the output is clamped to the output limit.  Returns the
+    command and the successor state.
     """
     if dt <= 0:
         raise ValidationError("dt must be > 0")
@@ -77,10 +68,7 @@ def pid_step(
         + gains.ki * integral
         + gains.kd * (error - state.prev_error) / dt
     )
-    out = _clamp(raw, gains.output_limit)
-    if gains.output_filter_tau > 0.0:
-        out = state.filtered + dt / (gains.output_filter_tau + dt) * (out - state.filtered)
-    return out, PidState(integral=integral, prev_error=error, filtered=out)
+    return _clamp(raw, gains.output_limit), PidState(integral=integral, prev_error=error)
 
 
 def yaw_pi_step(
@@ -93,47 +81,6 @@ def yaw_pi_step(
     integral = _clamp(state.integral + error * dt, gains.integral_limit)
     raw = gains.kp * error + gains.ki * integral
     return _clamp(raw, gains.output_limit), PidState(integral=integral, prev_error=error)
-
-
-@dataclass
-class TrackingError:
-    """Shape-lookup trajectory errors: where the foot should be minus where it is."""
-
-    error_x: float
-    error_y: float
-
-
-def tracking_errors(
-    curve: TrajectoryCurve, segment: str, actual: tuple[float, float]
-) -> TrackingError:
-    """Positional errors against a trajectory segment.
-
-    ``error_x`` compares the actual x with the segment x at the actual height;
-    ``error_y`` compares the actual height with the segment height at the
-    actual x.  Raises :class:`~prisquad.trajectory.SegmentQueryError` when the
-    segment is not single-valued in the queried variable.
-    """
-    seg = curve.segment(segment)
-    x_required = seg.x_at_y(actual[1])
-    y_required = seg.y_at_x(actual[0])
-    return TrackingError(error_x=x_required - actual[0], error_y=y_required - actual[1])
-
-
-@dataclass
-class PurePursuitState:
-    """Mutable tracker state: fixed lookahead plus the last goal phase.
-
-    The goal phase never decreases within a stride, which prevents the goal
-    point from jumping backwards where the path passes close to itself.
-    """
-
-    lookahead: float
-    curve: TrajectoryCurve
-    last_goal_phase: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.lookahead <= 0:
-            raise ValidationError("lookahead must be > 0")
 
 
 def _float_polyline(reference) -> tuple[Sequence[tuple[float, float]], Sequence[float]]:

@@ -209,50 +209,6 @@ def select_trajectory(
     return current
 
 
-def steer_in_place(theta: float, limit: float = math.pi / 2.0) -> list[tuple[str, float]]:
-    """Phase sequence that turns the body by ``theta`` without moving it.
-
-    Returns the four phases as (name, joint rotation) tuples: lift one pair,
-    rotate the steering joint by theta (the free upper layer turns), swap the
-    grounded pair, rotate by -theta (the lower layer catches up).  A zero
-    angle needs no phases.
-    """
-    if abs(theta) > limit:
-        raise ValidationError(f"turn angle {theta:g} exceeds steering travel {limit:g}")
-    if theta == 0.0:
-        return []
-    return [
-        ("ground_ac_lift_bd", 0.0),
-        ("rotate", theta),
-        ("ground_bd_lift_ac", 0.0),
-        ("rotate", -theta),
-    ]
-
-
-class InfeasibleClimb(RuntimeError):
-    """A support height difference exceeds the vertical travel."""
-
-
-def climb_adjust(
-    support_heights: tuple[float, float, float, float],
-    vertical_travel_max: float = 13.0,
-) -> list[float]:
-    """Per-leg retraction offsets that keep the body level over uneven supports.
-
-    A leg standing on a raised surface must shorten (retract) by the height
-    difference to the lowest support.  Raises :class:`InfeasibleClimb` when a
-    required offset exceeds the vertical travel.
-    """
-    base = min(support_heights)
-    offsets = [h - base for h in support_heights]
-    for i, off in enumerate(offsets):
-        if off > vertical_travel_max:
-            raise InfeasibleClimb(
-                f"support step of {off:g} cm at leg {i} exceeds travel {vertical_travel_max:g} cm"
-            )
-    return offsets
-
-
 class GaitExecutor:
     """Owns the gait configuration and advances a :class:`GaitState` per tick."""
 
@@ -281,10 +237,13 @@ class GaitExecutor:
         state.step_index = 0
 
     def start_turn(self, state: GaitState, theta: float) -> None:
+        """Begin a turn in place by ``theta``; a zero angle does nothing."""
         if state.phase is not GaitPhase.IDLE:
             raise ValidationError("turning requires the gait to be idle")
-        program = steer_in_place(theta, self.geom.steer_travel_max)
-        if not program:
+        limit = self.geom.steer_travel_max
+        if abs(theta) > limit:
+            raise ValidationError(f"turn angle {theta:g} exceeds steering travel {limit:g}")
+        if theta == 0.0:
             return
         state.steer_theta = theta
         state.phase = GaitPhase.STEER_1
@@ -362,10 +321,9 @@ class GaitExecutor:
             state.streak_count = 1
         if state.streak_count < cfg.switch_hysteresis_ticks:
             return
-        if key == "halt":
+        if key == "halt":  # the engine records the halt and its event
             state.phase = GaitPhase.HALT
             state.halt_reason = "infeasible obstacle"
-            state.events.append({"type": "halt", "reason": state.halt_reason})
             return
         if recommended.kind is not target.kind:
             state.events.append(
@@ -745,6 +703,7 @@ class GaitExecutor:
             cmd.steer = 0.0
 
     def _clamp(self, cmd: AxisCommands) -> None:
+        """The one clamp of every axis command to the speed caps."""
         cap_s = self.config.slide_speed_cap
         cap_v = self.config.vert_speed_cap
         cmd.slide_lower = max(-cap_s, min(cap_s, cmd.slide_lower))

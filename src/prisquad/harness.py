@@ -47,9 +47,7 @@ from .model import (
     standing_state,
     wrap_angle,
 )
-from .trajectory import (
-    SLIDE_SPEED_CAP, STEER_SPEED_CAP, VERT_SPEED_CAP, make_trajectory, preset, walk_step_count,
-)
+from .trajectory import make_trajectory, preset, walk_step_count
 
 # contact must register before the end-of-travel switch can freeze a
 # descending leg 0.05 cm short of the ground
@@ -229,11 +227,9 @@ def check_stability(
 
 @dataclass
 class ActuatorModel:
-    """Rate-limited velocity actuators with an optional first-order response."""
+    """Optional first-order response of the velocity actuators.  The commands
+    reach them already clamped to the gait's speed caps."""
 
-    slide_max_speed: float = SLIDE_SPEED_CAP
-    vert_max_speed: float = VERT_SPEED_CAP
-    steer_max_speed: float = STEER_SPEED_CAP
     time_constant_s: float = 0.0
 
 
@@ -346,7 +342,7 @@ SCENARIO_SCHEMA = Obj({
         "switch_hysteresis_ticks": Num("[0, inf)", integer=True),
     }),
     "sensors": Obj({"imu_noise_deg": Num("[0, inf)"), "ultrasonic_height_cm": Num("[0, inf)")}),
-    "actuators": Obj({
+    "actuators": Obj({  # the speed keys set GaitConfig's speed caps
         "slide_max_speed_cm_s": Num("(0, inf)"), "vert_max_speed_cm_s": Num("(0, inf)"),
         "steer_max_speed_rad_s": Num("(0, inf)"), "time_constant_s": Num("[0, inf)"),
     }),
@@ -459,15 +455,11 @@ def load_scenario(document: dict | str | Path) -> Scenario:
         _OBSTACLE_TYPES[obs.pop("type")](**{key.removesuffix("_cm"): v for key, v in obs.items()})
         for obs in doc.get("world", {}).get("obstacles", [])
     ])
-    actuators = ActuatorModel(**_present(
-        act, slide_max_speed="slide_max_speed_cm_s", vert_max_speed="vert_max_speed_cm_s",
-        steer_max_speed="steer_max_speed_rad_s", time_constant_s="time_constant_s",
+    actuators = ActuatorModel(**_present(act, time_constant_s="time_constant_s"))
+    gait = GaitConfig(**_present(
+        act, slide_speed_cap="slide_max_speed_cm_s", vert_speed_cap="vert_max_speed_cm_s",
+        steer_speed_cap="steer_max_speed_rad_s",
     ))
-    gait = GaitConfig(
-        slide_speed_cap=actuators.slide_max_speed,
-        vert_speed_cap=actuators.vert_max_speed,
-        steer_speed_cap=actuators.steer_max_speed,
-    )
     for key, value in ctl.items():
         if isinstance(value, dict):  # a gain section overrides single gains
             value = replace(getattr(gait, key), **value)
@@ -532,7 +524,7 @@ class SimEngine:
         self.tick_index = 0  # simulated time is tick_index * dt
         self.trace: list[dict] = []
         self.halt: dict | None = None
-        self._axis_velocity = {name: 0.0 for name in sensormod.AXIS_NAMES}
+        self._axis_velocity = (0.0,) * len(sensormod.AXIS_NAMES)
         self.anchor_pair = self.state.pinned_pair
         self.feet = self._snapshot()
         self.anchor_world = [self.feet.xz[leg] for leg in self.anchor_pair]
@@ -608,30 +600,21 @@ class SimEngine:
     # -- stepping -------------------------------------------------------------------
 
     def _apply_actuators(self, cmd) -> None:
-        act = self.sc.actuators
-        desired = {
-            "slide_lower": max(-act.slide_max_speed, min(act.slide_max_speed, cmd.slide_lower)),
-            "slide_upper": max(-act.slide_max_speed, min(act.slide_max_speed, cmd.slide_upper)),
-            "vert_a": max(-act.vert_max_speed, min(act.vert_max_speed, cmd.vert[0])),
-            "vert_b": max(-act.vert_max_speed, min(act.vert_max_speed, cmd.vert[1])),
-            "vert_c": max(-act.vert_max_speed, min(act.vert_max_speed, cmd.vert[2])),
-            "vert_d": max(-act.vert_max_speed, min(act.vert_max_speed, cmd.vert[3])),
-            "steer": max(-act.steer_max_speed, min(act.steer_max_speed, cmd.steer)),
-        }
-        if act.time_constant_s > 0.0:
-            alpha = self.dt / (act.time_constant_s + self.dt)
-            for k, v in desired.items():
-                self._axis_velocity[k] += alpha * (v - self._axis_velocity[k])
-        else:
-            self._axis_velocity.update(desired)
-        v = self._axis_velocity
+        """Move each axis at its commanded velocity (the gait has clamped it to
+        the caps), within its travel; velocities are in ``AXIS_NAMES`` order."""
+        v = (cmd.slide_lower, cmd.slide_upper, *cmd.vert, cmd.steer)
+        tau = self.sc.actuators.time_constant_s
+        if tau > 0.0:
+            alpha = self.dt / (tau + self.dt)
+            v = tuple(prev + alpha * (new - prev) for prev, new in zip(self._axis_velocity, v))
+        self._axis_velocity = v
         j = self.joints
-        j.slide_lower = min(max(j.slide_lower + v["slide_lower"] * self.dt, 0.0), self.geom.slide_travel_max)
-        j.slide_upper = min(max(j.slide_upper + v["slide_upper"] * self.dt, 0.0), self.geom.slide_travel_max)
-        for i, name in enumerate(("vert_a", "vert_b", "vert_c", "vert_d")):
-            j.d_vert[i] = min(max(j.d_vert[i] + v[name] * self.dt, 0.0), self.geom.vertical_travel_max)
+        j.slide_lower = min(max(j.slide_lower + v[0] * self.dt, 0.0), self.geom.slide_travel_max)
+        j.slide_upper = min(max(j.slide_upper + v[1] * self.dt, 0.0), self.geom.slide_travel_max)
+        for i in range(4):
+            j.d_vert[i] = min(max(j.d_vert[i] + v[2 + i] * self.dt, 0.0), self.geom.vertical_travel_max)
         j.steer_alpha = min(
-            max(j.steer_alpha + v["steer"] * self.dt, -self.geom.steer_travel_max),
+            max(j.steer_alpha + v[6] * self.dt, -self.geom.steer_travel_max),
             self.geom.steer_travel_max,
         )
 
@@ -650,9 +633,10 @@ class SimEngine:
 
     def _record_halt(self, reason: str, event: bool = True) -> None:
         """Halt the run at the current tick; the first reason wins.  A halt
-        found inside a tick is also a ``halt`` event in that tick's record, at
-        the same time as ``summary["halt"]``.  ``event=False`` is for halts
-        between ticks, which have no record to carry one."""
+        found inside a tick, the gait's included, is also a ``halt`` event in
+        that tick's record, at the same time as ``summary["halt"]``; this is
+        the one writer of halt events.  ``event=False`` is for halts between
+        ticks, which have no record to carry one."""
         if self.halt is None:
             self.halt = {"t": round(self.tick_index * self.dt, 9), "reason": reason}
             self.state.phase = GaitPhase.HALT
@@ -680,6 +664,8 @@ class SimEngine:
 
         prev_pinned = self.state.pinned_pair
         cmd, self.state = self.executor.gait_tick(self.state, summary, self.joints, self.dt)
+        if self.state.phase is GaitPhase.HALT:
+            self._record_halt(self.state.halt_reason)
         if self.state.pinned_pair != prev_pinned:
             self.anchor_pair = self.state.pinned_pair
             self.anchor_world = [feet.xz[leg] for leg in self.anchor_pair]
@@ -777,15 +763,7 @@ class SimEngine:
         return {"mission_success": ok and self.halt is None, "commands": commands_out}
 
     def _run_until_idle(self) -> None:
-        while self.state.phase is not GaitPhase.IDLE:
-            if self.state.phase is GaitPhase.HALT:
-                if self.halt is None:
-                    # the gait halted in the tick just run, whose record holds
-                    # its halt event; the robot then stands for one more tick
-                    self.halt = {"t": round((self.tick_index - 1) * self.dt, 9),
-                                 "reason": self.state.halt_reason or "halt"}
-                    self.step()
-                return
+        while self.state.phase not in (GaitPhase.IDLE, GaitPhase.HALT):
             if self.tick_index >= self.sc.max_ticks:
                 self._record_halt("timeout", event=False)
                 return

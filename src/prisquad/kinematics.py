@@ -260,26 +260,3 @@ def rigid_pose_from_pins(
         )
     return BodyPose(x=tx, z=tz, heading_phi=wrap_angle(heading), pitch=pitch)
 
-
-def resolve_body_pose(
-    prev_pose: BodyPose,
-    prev_joints: JointState,
-    new_joints: JointState,
-    stance: tuple[int, int],
-    params: DhLegParams | None = None,
-    geom: RobotGeometry | None = None,
-) -> BodyPose:
-    """Propagate the body pose across a joint change with one diagonal pair
-    pinned to the ground.
-
-    The stance feet keep their world positions; slide motion of the stance
-    carriage therefore translates the body the opposite way, and steering
-    motion rotates whichever layer is not pinned.  Pitch is carried over
-    unchanged (terrain handling lives in the simulation harness).
-    """
-    params = params or DhLegParams()
-    geom = geom or RobotGeometry()
-    before = world_feet(prev_pose, prev_joints, params, geom)
-    local_new = body_frame_feet(new_joints, params, geom)
-    anchors = [before.points[leg] for leg in stance]
-    return rigid_pose_from_pins(anchors, [local_new.points[leg] for leg in stance], prev_pose.pitch)

@@ -287,11 +287,24 @@ class Ramp:
         return math.radians(self.incline_deg)
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorldModel:
-    """Flat ground plus extruded-footprint obstacles."""
+    """Flat ground plus extruded-footprint obstacles.
 
-    obstacles: list = field(default_factory=list)
+    The world never changes during a run, so the obstacles are split by kind
+    once, at construction; each kind keeps the order of ``obstacles``.
+    """
+
+    obstacles: tuple = ()
+    _boxes: tuple[Box, ...] = field(init=False, repr=False, compare=False)
+    _ropes: tuple[Rope, ...] = field(init=False, repr=False, compare=False)
+    _ramps: tuple[Ramp, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        obstacles = tuple(self.obstacles)
+        object.__setattr__(self, "obstacles", obstacles)
+        for name, kind in (("_boxes", Box), ("_ropes", Rope), ("_ramps", Ramp)):
+            object.__setattr__(self, name, tuple(o for o in obstacles if isinstance(o, kind)))
 
     def validate(self) -> None:
         for obs in self.obstacles:
@@ -300,14 +313,11 @@ class WorldModel:
             if isinstance(obs, Ramp) and not 0.0 <= obs.incline_deg < 90.0:
                 raise ValidationError(f"ramp incline must be in [0, 90): {obs}")
 
-    def boxes(self) -> list[Box]:
-        return [o for o in self.obstacles if isinstance(o, Box)]
+    def boxes(self) -> tuple[Box, ...]:
+        return self._boxes
 
-    def ropes(self) -> list[Rope]:
-        return [o for o in self.obstacles if isinstance(o, Rope)]
-
-    def ramps(self) -> list[Ramp]:
-        return [o for o in self.obstacles if isinstance(o, Ramp)]
+    def ropes(self) -> tuple[Rope, ...]:
+        return self._ropes
 
     def terrain_height(self, x: float, z: float) -> float:
         """Walkable surface height at a planar point.
@@ -317,17 +327,13 @@ class WorldModel:
         walkable terrain.
         """
         y = 0.0
-        for obs in self.obstacles:
-            if isinstance(obs, Box):
-                if (
-                    abs(x - obs.x) <= obs.depth / 2.0
-                    and abs(z - obs.z) <= obs.width / 2.0
-                ):
-                    y = max(y, obs.height)
-            elif isinstance(obs, Ramp):
-                if x >= obs.x_start:
-                    run = min(x - obs.x_start, obs.length)
-                    y = max(y, run * math.tan(obs.incline_rad))
+        for box in self._boxes:
+            if abs(x - box.x) <= box.depth / 2.0 and abs(z - box.z) <= box.width / 2.0:
+                y = max(y, box.height)
+        for ramp in self._ramps:
+            if x >= ramp.x_start:
+                run = min(x - ramp.x_start, ramp.length)
+                y = max(y, run * math.tan(ramp.incline_rad))
         return y
 
     def terrain_gradient_x(self, x: float, z: float) -> float:
@@ -336,15 +342,11 @@ class WorldModel:
         Box tops and flat ground are locally level (the step edge is a
         discontinuity, not a slope); only ramp surfaces have a gradient.
         """
-        for obs in self.obstacles:
-            if isinstance(obs, Box):
-                if (
-                    abs(x - obs.x) <= obs.depth / 2.0
-                    and abs(z - obs.z) <= obs.width / 2.0
-                ):
-                    return 0.0
+        for box in self._boxes:
+            if abs(x - box.x) <= box.depth / 2.0 and abs(z - box.z) <= box.width / 2.0:
+                return 0.0
         grad = 0.0
-        for obs in self.obstacles:
-            if isinstance(obs, Ramp) and obs.x_start <= x <= obs.x_start + obs.length:
-                grad = max(grad, math.tan(obs.incline_rad))
+        for ramp in self._ramps:
+            if ramp.x_start <= x <= ramp.x_start + ramp.length:
+                grad = max(grad, math.tan(ramp.incline_rad))
         return grad

@@ -29,16 +29,11 @@ ULTRASONIC_MAX_CM = 400.0
 
 @dataclass(frozen=True)
 class UltrasonicMount:
-    """Forward-facing rangefinder mount in the body frame.
-
-    The beam is a single ray by default; a nonzero cone half-angle fans it
-    into several rays and reports the nearest return.
-    """
+    """Forward-facing rangefinder mount in the body frame; its beam is a single ray."""
 
     offset_x: float = 16.5
     offset_z: float = 0.0
     height: float = 8.0
-    cone_half_angle_deg: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -164,7 +159,7 @@ def read_ultrasonic(
 ) -> float | None:
     """Range to the nearest obstacle along the heading, or None for no echo.
 
-    Beams are planar rays at the mount height: boxes answer when they are at
+    The beam is a planar ray at the mount height: boxes answer when they are at
     least that tall, ropes when they hang within a couple of centimetres of
     the beam height.  Ramps return no echo (grazing incidence).  Readings
     clamp to the 2..400 cm envelope of the sensor.
@@ -172,26 +167,19 @@ def read_ultrasonic(
     c, s = math.cos(pose.heading_phi), math.sin(pose.heading_phi)
     ox = pose.x + c * mount.offset_x - s * mount.offset_z
     oz = pose.z + s * mount.offset_x + c * mount.offset_z
-    if mount.cone_half_angle_deg > 0.0:
-        half = math.radians(mount.cone_half_angle_deg)
-        angles = [pose.heading_phi + f * half for f in (-1.0, -0.5, 0.0, 0.5, 1.0)]
-    else:
-        angles = [pose.heading_phi]
     best = math.inf
-    for angle in angles:
-        dx, dz = math.cos(angle), math.sin(angle)
-        for box in world.boxes():
-            if box.height < mount.height:
-                continue
-            t = _ray_box_distance(ox, oz, dx, dz, box)
-            if t is not None and t < best:
-                best = t
-        for rope in world.ropes():
-            if abs(rope.height - mount.height) > 2.0:
-                continue
-            t = _ray_rope_distance(ox, oz, dx, dz, rope)
-            if t is not None and t < best:
-                best = t
+    for box in world.boxes():
+        if box.height < mount.height:
+            continue
+        t = _ray_box_distance(ox, oz, c, s, box)
+        if t is not None and t < best:
+            best = t
+    for rope in world.ropes():
+        if abs(rope.height - mount.height) > 2.0:
+            continue
+        t = _ray_rope_distance(ox, oz, c, s, rope)
+        if t is not None and t < best:
+            best = t
     if best > ULTRASONIC_MAX_CM:
         return None
     return max(best, ULTRASONIC_MIN_CM)

@@ -1,5 +1,5 @@
-"""Control loops: PD/PID/PI primitives, trajectory error lookups and the
-pure-pursuit tracker, including the closed-loop convergence regressions."""
+"""Control loops: PD/PID/PI primitives and the pure-pursuit tracker,
+including the closed-loop convergence regressions."""
 
 import math
 
@@ -15,11 +15,10 @@ from prisquad.control import (
     pid_step,
     pure_pursuit_goal,
     pure_pursuit_velocity,
-    tracking_errors,
     yaw_pi_step,
 )
 from prisquad.model import TrajectoryKind, TrajectorySpec, ValidationError
-from prisquad.trajectory import SegmentQueryError, make_trajectory
+from prisquad.trajectory import make_trajectory
 
 
 def tri_curve(L=34.0, H=5.0):
@@ -81,18 +80,6 @@ class TestPidStep:
         u, _ = pid_step(gains, 1.5, PidState(prev_error=99.0), 0.05)
         assert u == 4.5
 
-    def test_optional_output_filter_smooths_steps(self):
-        sharp = PidGains(kp=1.0)
-        soft = PidGains(kp=1.0, output_filter_tau=0.1)
-        u_sharp, _ = pid_step(sharp, 5.0, PidState(), 0.01)
-        u_soft, state = pid_step(soft, 5.0, PidState(), 0.01)
-        assert u_sharp == 5.0
-        assert 0.0 < u_soft < u_sharp
-        # the filtered command converges toward the raw one
-        for _ in range(200):
-            u_soft, state = pid_step(soft, 5.0, state, 0.01)
-        assert u_soft == pytest.approx(5.0, abs=1e-3)
-
     @given(st.floats(-1e6, 1e6), st.floats(-100.0, 100.0))
     def test_output_respects_clamp_for_arbitrary_errors(self, error, prev):
         gains = PidGains(kp=5.0, ki=2.0, kd=1.0, output_limit=7.0, integral_limit=3.0)
@@ -143,27 +130,6 @@ class TestYawPi:
         assert abs(math.degrees(target - angle)) < 1.0
 
 
-class TestTrackingErrors:
-    def test_point_on_curve_has_zero_errors(self):
-        curve = tri_curve()
-        err = tracking_errors(curve, "ascent", (8.5, 2.5))
-        assert err.error_x == pytest.approx(0.0, abs=1e-12)
-        assert err.error_y == pytest.approx(0.0, abs=1e-12)
-
-    def test_triangular_ascent_error(self):
-        # oracle: apex line y = (5/17) x, so at (8.5, 2.0) the height error is 0.5
-        curve = tri_curve()
-        err = tracking_errors(curve, "ascent", (8.5, 2.0))
-        assert err.error_y == pytest.approx(0.5, abs=1e-12)
-        # and the x error against the line at y = 2.0: x = 17/5 * 2 = 6.8
-        assert err.error_x == pytest.approx(6.8 - 8.5, abs=1e-12)
-
-    def test_off_segment_point_is_signalled(self):
-        curve = tri_curve()
-        with pytest.raises(SegmentQueryError):
-            tracking_errors(curve, "ascent", (25.0, 2.0))
-
-
 class TestPurePursuit:
     def test_goal_on_straight_ground_segment(self):
         # oracle: circle-line intersection from (0, 0.5) with radius 1
@@ -211,16 +177,6 @@ class TestPurePursuit:
             pure_pursuit_velocity((0, 0), (1, 0), 0.0)
         with pytest.raises(ValidationError):
             pure_pursuit_goal([(0, 0), (1, 0)], (0, 0), 0.0, 0.0)
-
-
-class TestPurePursuitState:
-    def test_holds_lookahead_and_monotone_phase(self):
-        from prisquad.control import PurePursuitState
-
-        state = PurePursuitState(lookahead=3.0, curve=tri_curve())
-        assert state.last_goal_phase == 0.0
-        with pytest.raises(ValidationError):
-            PurePursuitState(lookahead=0.0, curve=tri_curve())
 
 
 class TestEnvelopeSpeed:

@@ -3,17 +3,13 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from prisquad.gait import (
     GaitExecutor,
     GaitPhase,
-    InfeasibleClimb,
     ObstacleSighting,
     SensorSummary,
-    climb_adjust,
     select_trajectory,
-    steer_in_place,
 )
 from prisquad.model import (
     PAIR_AC,
@@ -86,54 +82,6 @@ class TestSelectTrajectory:
         assert select_trajectory(summary, preset("triangular")).kind is TrajectoryKind.RECT1
 
 
-class TestSteerInPlace:
-    def test_zero_angle_needs_no_phases(self):
-        assert steer_in_place(0.0) == []
-
-    def test_four_phase_sequence(self):
-        theta = math.radians(45.0)
-        seq = steer_in_place(theta)
-        assert [name for name, _ in seq] == [
-            "ground_ac_lift_bd",
-            "rotate",
-            "ground_bd_lift_ac",
-            "rotate",
-        ]
-        assert seq[1][1] == pytest.approx(theta)
-        assert seq[3][1] == pytest.approx(-theta)
-
-    def test_negative_angle_mirrors(self):
-        pos = steer_in_place(math.radians(30.0))
-        neg = steer_in_place(math.radians(-30.0))
-        assert [n for n, _ in pos] == [n for n, _ in neg]
-        for (_, a), (_, b) in zip(pos, neg):
-            assert b == pytest.approx(-a)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValidationError):
-            steer_in_place(math.radians(95.0))
-
-
-class TestClimbAdjust:
-    def test_flat_supports_need_no_offsets(self):
-        assert climb_adjust((0.0, 0.0, 0.0, 0.0)) == [0.0, 0.0, 0.0, 0.0]
-
-    def test_front_feet_on_block(self):
-        # oracle: height difference between supports maps 1:1 onto retraction
-        offsets = climb_adjust((10.0, 10.0, 0.0, 0.0))
-        assert offsets == [10.0, 10.0, 0.0, 0.0]
-
-    def test_unreachable_step_signals_infeasible(self):
-        with pytest.raises(InfeasibleClimb):
-            climb_adjust((14.0, 0.0, 0.0, 0.0))
-
-    @given(st.lists(st.floats(0.0, 13.0), min_size=4, max_size=4))
-    def test_offsets_are_relative_to_lowest_support(self, heights):
-        offsets = climb_adjust(tuple(heights))
-        assert min(offsets) == 0.0
-        assert all(o >= 0.0 for o in offsets)
-
-
 class TestGaitFsm:
     def setup_method(self):
         self.geom = RobotGeometry()
@@ -175,6 +123,16 @@ class TestGaitFsm:
         _, state = self.executor.gait_tick(state, summary, joints, 0.01)
         with pytest.raises(ValidationError):
             self.executor.start_turn(state, 0.3)
+
+    def test_out_of_range_turn_rejected(self):
+        with pytest.raises(ValidationError):
+            self.executor.start_turn(self.executor.new_state(), math.radians(95.0))
+
+    def test_zero_angle_turn_does_nothing(self):
+        state = self.executor.new_state()
+        self.executor.start_turn(state, 0.0)
+        assert state.phase is GaitPhase.IDLE
+        assert state.events == []
 
     def test_limit_override_dominates_commands(self):
         state = self.executor.new_state()

@@ -33,7 +33,7 @@ from prisquad.harness import (
 # sha256 of each bundled scenario's trace as emit_trace writes it (trace_schema 2)
 TRACE_SHA256 = {
     "block10": "3675feb7bfaeb45637cfde219ed316dbbaa225da1d4fd74a3113895266335502",
-    "block14": "0fe53ce5754bc34b38befb66820c27c1c1ea580a7a1ac49f3887f37009373707",
+    "block14": "fc5e3169008269a90b4bf967135f43e27fd207e1aade9bc1b3153e2388e61ea3",
     "flat": "0c427294af98fab4b65f114e74db28ecc9ec7907192d6db45539bc8dc24f670e",
     "ramp20": "fb5456eb0a5612f264bc42fd948b42c543777afdc486c09f083a1e90eda11383",
     "ramp25": "b25edd2d91c28abdfeffdbe1596fa4efbf883914c3a9d32023eb0409c63ebfe6",
@@ -291,6 +291,15 @@ class TestLoadScenario:
         assert len(boxes) == 1
         assert boxes[0].height == 10.0
 
+    def test_a_scenario_speed_cap_reaches_the_actuators(self):
+        sc = load_scenario(minimal_doc(actuators={"slide_max_speed_cm_s": 15.0}))
+        trace, summary = run_simulation(sc)
+        assert summary["mission_success"]
+        slides = [(rec["joints"]["slide_lower"], rec["joints"]["slide_upper"]) for rec in trace]
+        moves = [abs(b - a) for prev, cur in zip(slides, slides[1:]) for a, b in zip(prev, cur)]
+        assert max(moves) <= 15.0 * sc.dt + 1e-9
+        assert max(moves) > 14.0 * sc.dt  # the cap binds
+
     def test_controller_overrides_apply(self):
         doc = minimal_doc(controllers={"lookahead_cm": 4.5, "pd_position": {"kp": 9.0}})
         sc = load_scenario(doc)
@@ -315,7 +324,9 @@ class TestLoadScenario:
         assert sc.gait.pd_position.integral_limit == 2.0
         assert sc.gait.pid_velocity.ki == 3.0  # a gain section keeps the gains it omits
         assert sc.gait.switch_hysteresis_ticks == 3
-        assert sc.gait.slide_speed_cap == sc.actuators.slide_max_speed == 15.0
+        assert (sc.gait.slide_speed_cap, sc.gait.vert_speed_cap, sc.gait.steer_speed_cap) == (
+            15.0, 9.0, 0.5)
+        assert sc.actuators.time_constant_s == 0.02
         assert {m.height for m in sc.sensors.ultrasonic_mounts} == {7.0}
         assert sc.mission[0] == {"type": "walk", "distance_cm": 34.0, "trajectory": "rect2",
                                  "adaptive": True, "stride_L_cm": 30.0, "stride_H_cm": 4.0}
@@ -463,6 +474,7 @@ class TestTraceOutputs:
         assert summary["halts"] == [{"type": "halt", **summary["halt"]}]
         (record,) = [rec for rec in trace if any(ev["type"] == "halt" for ev in rec["events"])]
         assert record["t"] == summary["halt"]["t"]
+        assert trace[-1] is record  # the run ends on the halt tick
 
     def test_halt_time_is_a_whole_number_of_ticks(self):
         sc = load_scenario(minimal_doc(mission=[walk(distance_cm=300.0, adaptive=False)]))

@@ -20,7 +20,7 @@ from prisquad.kinematics import (
     helix_angle,
     leadscrew_torque,
     leg_forward_kinematics,
-    resolve_body_pose,
+    rigid_pose_from_pins,
     slide_counts_from_distance,
     slide_distance_from_counts,
     world_feet,
@@ -199,14 +199,24 @@ class TestLeadscrewTorque:
 
 
 class TestResolveBodyPose:
+    """The pose solve the engine runs: the stance feet's world positions before
+    a joint change pinned onto their body-frame positions after it."""
+
     def setup_method(self):
         self.geom = RobotGeometry()
         self.params = default_leg_params()
 
+    def resolve(self, pose, before, after, stance):
+        anchors = world_feet(pose, before, self.params, self.geom).points
+        local = body_frame_feet(after, self.params, self.geom).points
+        return rigid_pose_from_pins(
+            [anchors[leg] for leg in stance], [local[leg] for leg in stance], pose.pitch
+        )
+
     def test_no_joint_change_is_identity(self):
         pose = BodyPose(x=3.0, z=-2.0, heading_phi=0.4)
         joints = standing_state(self.geom)
-        out = resolve_body_pose(pose, joints, joints.copy(), PAIR_AC, self.params, self.geom)
+        out = self.resolve(pose, joints, joints.copy(), PAIR_AC)
         assert out.x == pytest.approx(pose.x, abs=1e-12)
         assert out.z == pytest.approx(pose.z, abs=1e-12)
         assert out.heading_phi == pytest.approx(pose.heading_phi, abs=1e-12)
@@ -216,7 +226,7 @@ class TestResolveBodyPose:
         before = standing_state(self.geom)
         after = before.copy()
         after.slide_lower += 5.0  # stance AC carriage moves forward
-        out = resolve_body_pose(pose, before, after, PAIR_AC, self.params, self.geom)
+        out = self.resolve(pose, before, after, PAIR_AC)
         assert out.x == pytest.approx(-5.0, abs=1e-9)
         assert out.z == pytest.approx(0.0, abs=1e-9)
         # stance feet stay put in the world
@@ -225,7 +235,7 @@ class TestResolveBodyPose:
         np.testing.assert_allclose(w0[[0, 2]], w1[[0, 2]], atol=1e-9)
         # swing feet advance by their own slide plus the body motion
         after.slide_upper += 3.0
-        out2 = resolve_body_pose(pose, before, after, PAIR_AC, self.params, self.geom)
+        out2 = self.resolve(pose, before, after, PAIR_AC)
         w2 = world_feet(out2, after, self.params, self.geom).xz
         np.testing.assert_allclose(w2[[1, 3]] - w0[[1, 3]], [[-2.0, 0.0], [-2.0, 0.0]], atol=1e-9)
 
@@ -236,7 +246,7 @@ class TestResolveBodyPose:
         before = standing_state(self.geom)
         after = before.copy()
         after.steer_alpha = math.radians(10.0)
-        out = resolve_body_pose(pose, before, after, PAIR_AC, self.params, self.geom)
+        out = self.resolve(pose, before, after, PAIR_AC)
         assert math.degrees(out.heading_phi) == pytest.approx(10.0, abs=1e-9)
         w0 = world_feet(pose, before, self.params, self.geom).xz
         w1 = world_feet(out, after, self.params, self.geom).xz
@@ -248,7 +258,7 @@ class TestResolveBodyPose:
         before.steer_alpha = math.radians(25.0)
         after = before.copy()
         after.steer_alpha = 0.0
-        out = resolve_body_pose(pose, before, after, PAIR_BD, self.params, self.geom)
+        out = self.resolve(pose, before, after, PAIR_BD)
         assert out.heading_phi == pytest.approx(0.0, abs=1e-9)
         w0 = world_feet(pose, before, self.params, self.geom).xz
         w1 = world_feet(out, after, self.params, self.geom).xz
@@ -257,8 +267,6 @@ class TestResolveBodyPose:
     def test_deformed_pins_signal_contact_violation(self):
         # a rigid planar motion cannot map pins whose separation changed;
         # that would mean a grounded foot slipping
-        from prisquad.kinematics import rigid_pose_from_pins
-
         anchors = np.array([[0.0, 0.0], [65.0, 0.0]])
         deformed = np.array([[0.0, 0.0], [60.0, 0.0]])
         with pytest.raises(ContactViolation):
@@ -277,7 +285,7 @@ class TestResolveBodyPose:
         after.slide_lower += d_lower
         after.slide_upper += d_upper
         after.steer_alpha += d_steer
-        out = resolve_body_pose(pose, before, after, PAIR_BD, self.params, self.geom)
+        out = self.resolve(pose, before, after, PAIR_BD)
         w0 = world_feet(pose, before, self.params, self.geom).xz
         w1 = world_feet(out, after, self.params, self.geom).xz
         drift = np.hypot(*(w1[[1, 3]] - w0[[1, 3]]).T)

@@ -114,14 +114,6 @@ class TestUltrasonic:
         world = WorldModel(obstacles=[Box(x=500.0, z=0.0, width=40.0, depth=10.0, height=10.0)])
         assert read_ultrasonic(BodyPose(), world, self.MOUNT) is None
 
-    def test_cone_option_catches_offset_obstacles(self):
-        # narrow block left of the centre ray: invisible to the single ray,
-        # caught once the beam fans out
-        world = WorldModel(obstacles=[Box(x=30.0, z=6.0, width=4.0, depth=4.0, height=10.0)])
-        assert read_ultrasonic(BodyPose(), world, self.MOUNT) is None
-        cone = UltrasonicMount(offset_x=0.0, offset_z=0.0, height=8.0, cone_half_angle_deg=15.0)
-        assert read_ultrasonic(BodyPose(), world, cone) is not None
-
 
 class TestLidar:
     def test_beam_count_for_full_sector(self):
