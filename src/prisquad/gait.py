@@ -7,10 +7,13 @@ drags its carriage backwards at the matched rate so the body advances by
 half the swing span.  Between strides all four feet are grounded for a short
 dwell while the carriages settle onto their exact step targets.
 
-Turning happens in place in four phases: lift one pair, rotate the steering
-joint so the free layer turns, swap the grounded pair, rotate back.  The net
-effect is a body heading change with the steering joint returned to zero and
-the feet back where they started.
+Turning happens in place in four phases, run from the six-step table
+``STEER_STEPS``: lift one pair, rotate the steering joint so the free layer
+turns, swap the grounded pair, rotate back.  Both rotations servo the
+steering joint's angle with the yaw PI loop; the IMU yaw is recorded in the
+trace but steers nothing, so a turn's length does not depend on IMU noise.
+The net effect is a body heading change with the steering joint returned to
+zero and the feet back where they started.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .model import (
     TrajectoryKind,
     TrajectorySpec,
     ValidationError,
-    wrap_angle,
 )
 from .trajectory import (
     DEFAULT_DWELL_S,
@@ -66,6 +68,24 @@ class GaitPhase(str, Enum):
 
 PAIR_BY_NAME = {"AC": PAIR_AC, "BD": PAIR_BD}
 
+# default selector thresholds: obstacle trigger range and body tilt
+TRIGGER_RANGE_CM = 25.0
+TILT_THRESHOLD_DEG = 3.0
+
+# The turn in place, one row per step: phase, pinned pair, action, argument.
+# ``lift`` raises the argument's pair to the lift height and ``lower`` sets it
+# down until both feet touch.  ``rotate`` servos the steering joint to the
+# argument times the turn angle: the free layer turns, then the grounded upper
+# layer holds the heading while the lower layer realigns underneath it.
+STEER_STEPS = (
+    (GaitPhase.STEER_1, PAIR_AC, "lift", PAIR_BD),
+    (GaitPhase.STEER_2, PAIR_AC, "rotate", 1.0),
+    (GaitPhase.STEER_3, PAIR_AC, "lower", PAIR_BD),
+    (GaitPhase.STEER_3, PAIR_BD, "lift", PAIR_AC),
+    (GaitPhase.STEER_4, PAIR_BD, "rotate", 0.0),
+    (GaitPhase.STEER_4, PAIR_BD, "lower", PAIR_AC),
+)
+
 
 @dataclass(frozen=True)
 class ObstacleSighting:
@@ -79,7 +99,6 @@ class SensorSummary:
     """Digested sensor inputs consumed by the gait logic."""
 
     body_pitch: float = 0.0
-    yaw: float = 0.0
     obstacle: ObstacleSighting | None = None
     foot_contact: tuple[bool, bool, bool, bool] = (True, True, True, True)
     limit_low: tuple[bool, ...] = (False,) * 7
@@ -115,14 +134,11 @@ class GaitConfig:
     steer_speed_cap: float = STEER_SPEED_CAP
     speed_scale: float = 1.0
     adaptive: bool = True
-    trigger_range_cm: float = 25.0
-    tilt_threshold_deg: float = 3.0
+    trigger_range_cm: float = TRIGGER_RANGE_CM
+    tilt_threshold_deg: float = TILT_THRESHOLD_DEG
     switch_hysteresis_ticks: int = 2
     steer_lift_cm: float = 3.0
     steer_tol_rad: float = 0.002
-    # consecutive in-tolerance ticks before a steering phase completes;
-    # debounces noisy yaw readings
-    steer_settle_ticks: int = 5
     position_tol_cm: float = 0.05
     settle_tol_cm: float = 0.01
 
@@ -168,17 +184,15 @@ class GaitState:
 
     # steering context
     steer_theta: float = 0.0
-    steer_heading0: float = 0.0
-    steer_stage: int = 0
-    steer_settle_count: int = 0
+    steer_stage: int = 0  # row of STEER_STEPS
 
 
 def select_trajectory(
     summary: SensorSummary,
     current: TrajectorySpec,
     geom: RobotGeometry | None = None,
-    trigger_range_cm: float = 25.0,
-    tilt_threshold_deg: float = 3.0,
+    trigger_range_cm: float = TRIGGER_RANGE_CM,
+    tilt_threshold_deg: float = TILT_THRESHOLD_DEG,
 ) -> TrajectorySpec | None:
     """Recommend a swing trajectory for the sensed conditions.
 
@@ -248,7 +262,6 @@ class GaitExecutor:
         state.steer_theta = theta
         state.phase = GaitPhase.STEER_1
         state.steer_stage = 0
-        state.yaw_state = PidState()
         state.events.append({"type": "turn_start", "theta_deg": math.degrees(theta)})
 
     # -- helpers ---------------------------------------------------------------
@@ -415,12 +428,7 @@ class GaitExecutor:
                 state.prev_joints = joints.copy()
                 return cmd, state
             self._walk_tick(state, sensors, joints, dt, prev, cmd)
-        elif state.phase in (
-            GaitPhase.STEER_1,
-            GaitPhase.STEER_2,
-            GaitPhase.STEER_3,
-            GaitPhase.STEER_4,
-        ):
+        else:  # a steering phase
             self._steer_tick(state, sensors, joints, dt, cmd)
 
         self._apply_limit_overrides(sensors, cmd)
@@ -605,87 +613,39 @@ class GaitExecutor:
     # -- steering ----------------------------------------------------------------
 
     def _steer_tick(self, state, sensors, joints, dt, cmd) -> None:
+        """Run the current row of ``STEER_STEPS``; a finished row hands over to the next."""
         cfg = self.config
-        lift = cfg.steer_lift_cm
-        contact = sensors.foot_contact
-
-        if state.phase is GaitPhase.STEER_1:
-            state.pinned_pair = PAIR_AC
-            done = True
-            for leg in PAIR_BD:
-                if joints.d_vert[leg] < lift - cfg.settle_tol_cm:
-                    cmd.vert[leg] = self._servo(lift - joints.d_vert[leg], cfg.vert_speed_cap, dt)
-                    done = False
-            if done:
-                state.steer_heading0 = sensors.yaw
-                state.yaw_state = PidState()
-                state.phase = GaitPhase.STEER_2
-            return
-
-        if state.phase is GaitPhase.STEER_2:
-            state.pinned_pair = PAIR_AC
-            target = wrap_angle(state.steer_heading0 + state.steer_theta)
-            error = wrap_angle(target - sensors.yaw)
-            out, state.yaw_state = yaw_pi_step(cfg.yaw_pi, error, state.yaw_state, dt)
-            cmd.steer = out
+        _phase, pinned, action, arg = STEER_STEPS[state.steer_stage]
+        state.pinned_pair = pinned
+        if action == "rotate":
+            error = arg * state.steer_theta - joints.steer_alpha
+            cmd.steer, state.yaw_state = yaw_pi_step(cfg.yaw_pi, error, state.yaw_state, dt)
             # a joint parked on its end-of-travel switch can get no closer
-            pinned = (error > 0 and sensors.limit_high[6]) or (
-                error < 0 and sensors.limit_low[6]
-            )
-            if abs(error) <= cfg.steer_tol_rad or pinned:
-                state.steer_settle_count += 1
-            else:
-                state.steer_settle_count = 0
-            if state.steer_settle_count >= cfg.steer_settle_ticks:
-                state.phase = GaitPhase.STEER_3
-                state.steer_stage = 0
-                state.steer_settle_count = 0
-            return
-
-        if state.phase is GaitPhase.STEER_3:
-            if state.steer_stage == 0:
-                # lower the lifted pair back to the ground
-                state.pinned_pair = PAIR_AC
-                if all(contact[leg] for leg in PAIR_BD):
-                    state.steer_stage = 1
-                else:
-                    for leg in PAIR_BD:
-                        if not contact[leg]:
-                            cmd.vert[leg] = -cfg.vert_speed_cap
-                return
-            state.pinned_pair = PAIR_BD
+            parked = (error > 0 and sensors.limit_high[6]) or (error < 0 and sensors.limit_low[6])
+            done = abs(error) <= cfg.steer_tol_rad or parked
+        elif action == "lift":
+            lift = cfg.steer_lift_cm
             done = True
-            for leg in PAIR_AC:
+            for leg in arg:
                 if joints.d_vert[leg] < lift - cfg.settle_tol_cm:
                     cmd.vert[leg] = self._servo(lift - joints.d_vert[leg], cfg.vert_speed_cap, dt)
                     done = False
-            if done:
-                state.yaw_state = PidState()
-                state.phase = GaitPhase.STEER_4
-                state.steer_stage = 0
+        else:  # lower until both feet touch
+            contact = sensors.foot_contact
+            done = all(contact[leg] for leg in arg)
+            for leg in arg:
+                if not contact[leg]:
+                    cmd.vert[leg] = -cfg.vert_speed_cap
+        if not done:
             return
-
-        if state.phase is GaitPhase.STEER_4:
-            state.pinned_pair = PAIR_BD
-            if state.steer_stage == 0:
-                # drive the steering joint home; the grounded upper layer holds
-                # the heading while the lower layer realigns underneath it
-                error = -joints.steer_alpha
-                out, state.yaw_state = yaw_pi_step(cfg.yaw_pi, error, state.yaw_state, dt)
-                cmd.steer = out
-                if abs(error) <= cfg.steer_tol_rad:
-                    state.steer_stage = 1
-                return
-            if all(contact[leg] for leg in PAIR_AC):
-                state.phase = GaitPhase.IDLE
-                state.steer_stage = 0
-                state.events.append(
-                    {"type": "turn_complete", "theta_deg": math.degrees(state.steer_theta)}
-                )
-            else:
-                for leg in PAIR_AC:
-                    if not contact[leg]:
-                        cmd.vert[leg] = -cfg.vert_speed_cap
+        state.steer_stage += 1
+        state.yaw_state = PidState()
+        if state.steer_stage < len(STEER_STEPS):
+            state.phase = STEER_STEPS[state.steer_stage][0]
+            return
+        state.steer_stage = 0
+        state.phase = GaitPhase.IDLE
+        state.events.append({"type": "turn_complete", "theta_deg": math.degrees(state.steer_theta)})
 
     # -- safety overrides ---------------------------------------------------------
 

@@ -655,7 +655,6 @@ class SimEngine:
         limit_low, limit_high = sensormod.read_limit_switches(self.joints, self.geom)
         summary = SensorSummary(
             body_pitch=pitch,
-            yaw=yaw,
             obstacle=self._nearest_obstacle(feet.xz),
             foot_contact=feet.contacts,
             limit_low=limit_low,
@@ -856,7 +855,7 @@ def run_simulation(scenario: Scenario) -> tuple[list[dict], dict]:
     """
     engine = SimEngine(scenario)
     mission_result = engine.run_mission()
-    summary = summarize(engine.trace)
+    summary = summarize(engine.trace, scenario.dt)
     summary.update(mission_result)
     summary["halt"] = engine.halt
     summary["seed"] = scenario.seed
@@ -871,8 +870,9 @@ def run_simulation(scenario: Scenario) -> tuple[list[dict], dict]:
 # --- outputs ---------------------------------------------------------------------
 
 
-def summarize(trace: list[dict]) -> dict:
-    """Aggregate a trace: distance, speed, heading, events, stability."""
+def summarize(trace: list[dict], dt: float) -> dict:
+    """Aggregate a trace of ``dt``-second ticks: distance, speed, heading,
+    events, stability."""
     if not trace:
         return {
             "trace_schema": TRACE_SCHEMA,
@@ -887,7 +887,7 @@ def summarize(trace: list[dict]) -> dict:
             "halts": [],
         }
     first, last = trace[0], trace[-1]
-    duration = last["t"] - first["t"] + (trace[1]["t"] - trace[0]["t"] if len(trace) > 1 else 0.0)
+    duration = len(trace) * dt
     distance = math.hypot(last["x"] - first["x"], last["z"] - first["z"])
     switches = []
     halts = []

@@ -42,7 +42,6 @@ class LidarConfig:
 
     angular_resolution_deg: float = 0.15
     sector_deg: tuple[float, float] = (-90.0, 90.0)
-    sweep_period_s: float = 0.5
     max_range_cm: float = 400.0
     mount_offset: tuple[float, float] = (0.0, 0.0)
     mount_height: float = 35.0

@@ -39,7 +39,7 @@ TRACE_SHA256 = {
     "ramp25": "b25edd2d91c28abdfeffdbe1596fa4efbf883914c3a9d32023eb0409c63ebfe6",
     "rope12to5": "c3205d01555a7fe546937dd3e73c5e0e6acfa8d23795530bdec75cdda07e00fb",
     "tensteps": "0c427294af98fab4b65f114e74db28ecc9ec7907192d6db45539bc8dc24f670e",
-    "turn45": "34af3209c5d1e2ab9abb3a8d70535a9af63ad8cb8fd232b8a7a34bfa83cc1af6",
+    "turn45": "2a967eab37bcb06f7bd8a4ca9859d1d9259368d58bf588c4d2405d7c0d3fe9b3",
 }
 NOISY = {"sensors": {"imu_noise_deg": 0.5}, "seed": 0}
 # each row: bundled scenario, document overrides, trace sha256
@@ -385,8 +385,23 @@ class TestTraceOutputs:
     def test_summary_of_flat_walk_has_no_switches(self):
         sc = load_scenario(bundled_scenario_path("flat"))
         trace, summary = run_simulation(sc)
-        assert summarize(trace)["switch_events"] == []
+        assert summarize(trace, sc.dt)["switch_events"] == []
         assert summary["mission_success"]
+
+    def test_a_one_tick_run_lasts_one_tick(self):
+        # the first tick on a steep low-friction ramp slips
+        doc = {
+            "schema_version": 1,
+            "world": {"obstacles": [
+                {"type": "ramp", "x_start_cm": -200.0, "incline_deg": 20.0, "length_cm": 300.0}]},
+            "mission": [{"type": "walk", "distance_cm": 51.0, "trajectory": "triangular",
+                         "adaptive": True}],
+            "friction_mu": 0.1,
+        }
+        trace, summary = run_simulation(load_scenario(doc))
+        assert len(trace) == 1
+        assert summary["halt"] == {"t": 0.0, "reason": "slip"}
+        assert summary["duration_s"] == 0.01
 
     def test_load_trace_round_trip(self, tmp_path):
         sc = load_scenario(minimal_doc())
@@ -709,6 +724,27 @@ class TestTurnBoundaries:
             assert abs(err) <= 1.0, angle
             drift = math.hypot(trace[-1]["x"] - trace[0]["x"], trace[-1]["z"] - trace[0]["z"])
             assert drift < 1.0
+
+
+def turn45_run(imu_noise_deg: float, seed: int) -> tuple[list[dict], dict]:
+    doc = json.loads(bundled_scenario_path("turn45").read_text())
+    doc.update(sensors={"imu_noise_deg": imu_noise_deg}, seed=seed)
+    return run_simulation(load_scenario(doc))
+
+
+class TestNoisyTurns:
+    @pytest.fixture(scope="class")
+    def noiseless_ticks(self):
+        return len(turn45_run(0.0, 0)[0])
+
+    # the rotations servo the steering joint, so IMU noise cannot stall them
+    @pytest.mark.parametrize("seed", [0, 2])
+    @pytest.mark.parametrize("imu_noise_deg", [0.25, 0.5, 1.0])
+    def test_noisy_turn_lands_in_about_the_noiseless_time(self, imu_noise_deg, seed, noiseless_ticks):
+        trace, summary = turn45_run(imu_noise_deg, seed)
+        assert summary["mission_success"]
+        assert abs(summary["final_heading_deg"] - 45.0) <= 1.0
+        assert len(trace) <= 1.5 * noiseless_ticks
 
 
 class TestTerrainTransitionRegressions:
